@@ -217,15 +217,13 @@ type EvaluateResponse struct {
 }
 
 // CapacitySearchRequest is the request-shaped jellyfish.CapacitySearch.
-// Trials and Slack default like the library's (3 and 0.03); ColdStart is
-// the A/B lever that disables solver warm starts inside the search.
+// Trials and Slack default like the library's (3 and 0.03).
 type CapacitySearchRequest struct {
-	Switches  int     `json:"switches"`
-	Ports     int     `json:"ports"`
-	Trials    int     `json:"trials,omitempty"`
-	Slack     float64 `json:"slack,omitempty"`
-	Seed      uint64  `json:"seed"`
-	ColdStart bool    `json:"coldStart,omitempty"`
+	Switches int     `json:"switches"`
+	Ports    int     `json:"ports"`
+	Trials   int     `json:"trials,omitempty"`
+	Slack    float64 `json:"slack,omitempty"`
+	Seed     uint64  `json:"seed"`
 	// Estimator, when set, screens probe trials with certified bounds so
 	// only near-boundary probes pay for exact solves. Answers are
 	// identical to the exact-only search (rejection-only screening; the
@@ -419,18 +417,4 @@ type StepEvent struct {
 type TraceResponse struct {
 	JobID string           `json:"jobId"`
 	Trace *telemetry.Trace `json:"trace"`
-}
-
-// StatsResponse reports scheduler and cache counters (diagnostics; not
-// covered by the determinism guarantee).
-type StatsResponse struct {
-	Workers      int   `json:"workers"`
-	ResultHits   int64 `json:"resultHits"`
-	ResultMisses int64 `json:"resultMisses"`
-	FamilyHits   int64 `json:"familyHits"`
-	ChainHits    int64 `json:"chainHits"`
-	SimHits      int64 `json:"simHits"`
-	Deduped      int64 `json:"deduped"`
-	SyncRejected int64 `json:"syncRejected"`
-	CacheEntries int   `json:"cacheEntries"`
 }

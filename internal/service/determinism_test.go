@@ -72,13 +72,13 @@ func TestRepeatedRequestsHitResponseCache(t *testing.T) {
 	for i, req := range planningSequence {
 		first[i] = mustPost(t, ts.URL+req.path, req.body)
 	}
-	hitsBefore := srv.sched.stats.resultHits.Load()
+	hitsBefore := tierHits(srv, tierResp)
 	for i, req := range planningSequence {
 		if got := mustPost(t, ts.URL+req.path, req.body); !bytes.Equal(got, first[i]) {
 			t.Fatalf("request %d: second submission changed bytes", i)
 		}
 	}
-	if hits := srv.sched.stats.resultHits.Load() - hitsBefore; hits != int64(len(planningSequence)) {
+	if hits := tierHits(srv, tierResp) - hitsBefore; hits != int64(len(planningSequence)) {
 		t.Fatalf("second pass took %d response-cache hits, want %d", hits, len(planningSequence))
 	}
 }
@@ -96,7 +96,7 @@ func TestWhatIfWarmPrefixMatchesCold(t *testing.T) {
 	defer warmTS.Close()
 	mustPost(t, warmTS.URL+"/v1/whatif", prefix)
 	warm := mustPost(t, warmTS.URL+"/v1/whatif", full)
-	if hits := warmSrv.sched.stats.chainHits.Load(); hits < 1 {
+	if hits := tierHits(warmSrv, tierChain); hits < 1 {
 		t.Fatalf("chain hits = %d; the second request did not resume from the prefix checkpoint", hits)
 	}
 
@@ -124,7 +124,7 @@ func TestCapacitySearchFamilyReuseMatchesCold(t *testing.T) {
 	defer warmTS.Close()
 	mustPost(t, warmTS.URL+"/v1/capacity-search", first)
 	warm := mustPost(t, warmTS.URL+"/v1/capacity-search", second)
-	if hits := warmSrv.sched.stats.familyHits.Load(); hits < 1 {
+	if hits := tierHits(warmSrv, tierFamily); hits < 1 {
 		t.Fatalf("family hits = %d; the second search did not reuse the cached family", hits)
 	}
 

@@ -39,8 +39,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	s.tele.sse().Inc()
-	defer s.tele.sse().Dec()
+	s.tele.sseSubs.Inc()
+	defer s.tele.sseSubs.Dec()
 
 	// A disconnected client must wake the cond-wait below; the watcher
 	// broadcasts once and exits when the request context ends (which

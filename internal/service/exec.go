@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"jellyfish"
 	"jellyfish/internal/estimate"
@@ -50,6 +51,53 @@ func emit(ctx context.Context, v any) {
 	}
 }
 
+// An op is one planning operation. Its name is the sync route
+// (POST /v1/{name}), the job type, the op label on the duration series,
+// and the root span of its trace; plan strictly decodes a request
+// document and plans it.
+type op struct {
+	name string
+	plan func(body []byte) (*plan, *apiError)
+}
+
+// ops is the one list of planning operations: routes, job types, replay,
+// and metric labels all derive from it.
+var ops = []op{
+	opOf("design", planDesign),
+	opOf("evaluate", planEvaluate),
+	opOf("capacity-search", planCapacitySearch),
+	opOf("whatif", planWhatIf),
+	opOf("rewire-plan", planRewire),
+}
+
+// opOf builds an op table entry around a typed planner. Sync requests
+// and jobs both enter through it, so the two share canonical digests —
+// and therefore response bytes — for the same request document.
+func opOf[T any](name string, planFor func(*T) (*plan, *apiError)) op {
+	return op{name: name, plan: func(body []byte) (*plan, *apiError) {
+		var req T
+		if aerr := decodeStrict(body, &req); aerr != nil {
+			return nil, aerr
+		}
+		p, aerr := planFor(&req)
+		if aerr != nil {
+			return nil, aerr
+		}
+		p.op = name
+		return p, nil
+	}}
+}
+
+// opNames lists the table's names for error messages:
+// "a, b, or c".
+func opNames() string {
+	names := make([]string, len(ops))
+	for i, o := range ops {
+		names[i] = o.name
+	}
+	return strings.Join(names[:len(names)-1], ", ") + ", or " + names[len(names)-1]
+}
+
 func planDesign(spec *DesignSpec) (*plan, *apiError) {
 	ts := TopologySpec{Design: spec}
 	// Validate eagerly so bad requests fail before scheduling.
@@ -61,7 +109,6 @@ func planDesign(spec *DesignSpec) (*plan, *apiError) {
 	return &plan{
 		family: "d:" + digest(canon),
 		key:    "design:" + digest(canon),
-		op:     "design",
 		run: func(ctx context.Context, w *worker) (any, error) {
 			top := mat.build()
 			bp, aerr := canonicalBlueprint(top)
@@ -160,12 +207,9 @@ type simAsset struct {
 func transportAsset(w *worker, mat materialized, needTopology bool) *simAsset {
 	key := "sim:" + mat.digest
 	var a *simAsset
-	if v, ok := w.cache.get(key); ok {
-		w.stats.simHits.Add(1)
-		w.tele.simHits.Inc()
+	if v, ok := w.lookup(tierSim, key); ok {
 		a = v.(*simAsset)
 	} else {
-		w.tele.simMisses.Inc()
 		a = &simAsset{sim: flowsim.NewSim(0, mat.servers)}
 		w.cache.put(key, a)
 	}
@@ -228,7 +272,6 @@ func planEvaluate(req *EvaluateRequest) (*plan, *apiError) {
 	return &plan{
 		family: mat.digest,
 		key:    "evaluate:" + digest(canon),
-		op:     "evaluate",
 		run: func(ctx context.Context, w *worker) (any, error) {
 			resp := &EvaluateResponse{Throughputs: make([]float64, 0, req.Trials)}
 			sum := 0.0
@@ -299,7 +342,7 @@ func planCapacitySearch(req *CapacitySearchRequest) (*plan, *apiError) {
 	}
 	cs := jellyfish.CapacitySearch{
 		Switches: req.Switches, Ports: req.Ports, Trials: req.Trials,
-		Slack: req.Slack, Seed: req.Seed, ColdStart: req.ColdStart,
+		Slack: req.Slack, Seed: req.Seed,
 	}
 	if req.Estimator != nil {
 		if aerr := req.Estimator.validate(); aerr != nil {
@@ -316,7 +359,6 @@ func planCapacitySearch(req *CapacitySearchRequest) (*plan, *apiError) {
 	return &plan{
 		family: famKey,
 		key:    "capsearch:" + digest(canon),
-		op:     "capacity-search",
 		run: func(ctx context.Context, w *worker) (any, error) {
 			// The family is the search's reusable warm asset: one
 			// incrementally grown topology per inventory, shared across
@@ -330,12 +372,9 @@ func planCapacitySearch(req *CapacitySearchRequest) (*plan, *apiError) {
 			// this worker's flight recorder, counters on the shared slots.
 			cs.Obs = w.tele.search
 			var fam *jellyfish.SearchFamily
-			if v, ok := w.cache.get(famKey); ok {
+			if v, ok := w.lookup(tierFamily, famKey); ok {
 				fam = v.(*jellyfish.SearchFamily)
-				w.stats.familyHits.Add(1)
-				w.tele.familyHits.Inc()
 			} else {
-				w.tele.familyMisses.Inc()
 				var err error
 				if fam, err = cs.NewFamily(); err != nil {
 					return nil, err
@@ -380,7 +419,7 @@ type chainPoint struct {
 // prefix — the condition under which their chains are bit-identical.
 func chainKeys(baseDigest string, seed uint64, transport string, scenarios []Scenario) []string {
 	keys := make([]string, len(scenarios)+1)
-	keys[0] = digest([]byte("whatif"), []byte(baseDigest), []byte(fmt.Sprint(seed)), []byte(transport))
+	keys[0] = digest([]byte("chain"), []byte(baseDigest), []byte(fmt.Sprint(seed)), []byte(transport))
 	for i, sc := range scenarios {
 		keys[i+1] = digest([]byte(keys[i]), mustJSON(&sc))
 	}
@@ -411,7 +450,6 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 	return &plan{
 		family: mat.digest,
 		key:    "whatif:" + digest(canon),
-		op:     "whatif",
 		run: func(ctx context.Context, w *worker) (any, error) {
 			// Resume from the deepest cached checkpoint of this exact
 			// chain; everything before it is bit-identical by key purity.
@@ -464,13 +502,14 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 				return st
 			}
 			var steps []WhatIfStep
+			// One hit or miss per request, however many prefix keys the
+			// resume scan probed.
 			if resumed >= 0 {
-				w.stats.chainHits.Add(1)
-				w.tele.chainHits.Inc()
+				w.tele.hits[tierChain].Inc()
 				steps = slices.Clone(cp.steps)
 				ev.SetState(cp.st)
 			} else {
-				w.tele.chainMisses.Inc()
+				w.tele.misses[tierChain].Inc()
 				w.tele.rec.Begin("whatif.step", 0)
 				lam := ev.OptimalThroughput(top, req.Seed)
 				w.tele.rec.End()
@@ -525,7 +564,6 @@ func planRewire(req *RewireRequest) (*plan, *apiError) {
 	return &plan{
 		family: matBefore.digest,
 		key:    "rewire:" + digest(canon),
-		op:     "rewire-plan",
 		run: func(ctx context.Context, w *worker) (any, error) {
 			rp := jellyfish.PlanRewiring(matBefore.build(), matAfter.build())
 			resp := &RewireResponse{

@@ -136,8 +136,9 @@ type jobStore struct {
 
 	// Persistence (nil store = memory-only daemon). pmu serializes all
 	// store I/O and the snapshot cadence. Lock order: pmu may take mu
-	// (and per-job mu) while building a snapshot, so appendRecord and
-	// persistDone must never be called with mu held.
+	// (and per-job mu) while building a snapshot or publishing a
+	// finished job, so appendRecord and finish must never be called with
+	// mu held.
 	pmu           sync.Mutex
 	store         *persist.Store
 	snapshotEvery int
@@ -149,8 +150,7 @@ type jobStore struct {
 	// write doubles as the recovery probe (see persistence.go). Atomic so
 	// healthz can read it without touching pmu.
 	degraded atomic.Bool
-	// tele records degraded-mode transitions (nil-safe; nil when the
-	// daemon runs without telemetry).
+	// tele records degraded-mode transitions.
 	tele *tele
 }
 
@@ -192,12 +192,11 @@ func (js *jobStore) submit(sched *scheduler, spec *JobSpec) (*job, *apiError) {
 	js.mu.Unlock()
 
 	if evictedID != "" {
-		js.appendRecord(&jobRecord{Kind: recEvict, ID: evictedID})
+		js.appendRecord(&jobRecord{Kind: recEvict, persistedJob: persistedJob{ID: evictedID}})
 	}
-	if aerr := js.appendRecord(&jobRecord{
-		Kind: recSubmit, ID: j.id, Seq: seq, Type: j.typ, Request: j.request,
-		Created: j.created.Format(time.RFC3339Nano),
-	}); aerr != nil {
+	if aerr := js.appendRecord(&jobRecord{Kind: recSubmit, persistedJob: persistedJob{
+		ID: j.id, Seq: seq, Type: j.typ, Request: j.request, Created: formatTime(j.created),
+	}}); aerr != nil {
 		// The submission never became durable: withdraw it rather than
 		// acknowledge a job a restart would forget.
 		js.mu.Lock()
@@ -234,77 +233,46 @@ func (js *jobStore) start(sched *scheduler, j *job, p *plan, ctx context.Context
 			}
 			j.mu.Unlock()
 		}, onEvent)
-		j.mu.Lock()
-		j.trace = trace
-		j.finished = time.Now().UTC() //jellyvet:allow determinism -- job metadata timestamp; never enters a response digest or event payload
-		persist := true
+		t := terminal{finished: time.Now().UTC(), trace: trace} //jellyvet:allow determinism -- job metadata timestamp; never enters a response digest or event payload
+		durable := true
 		switch {
 		case err == nil:
-			j.status = jobSucceeded
-			j.result = resp
+			t.status = jobSucceeded
+			t.result = resp
 		case ctx.Err() != nil:
-			j.status = jobCancelled
-			j.err = &apiError{Status: http.StatusConflict, Code: "cancelled", Message: "job cancelled"}
+			t.status = jobCancelled
+			t.err = &apiError{Status: http.StatusConflict, Code: "cancelled", Message: "job cancelled"}
 			// Shutdown interruptions journal nothing: the submit record
 			// without a terminal record is the checkpoint that makes the
 			// next boot re-run this job.
-			persist = j.clientCancel
+			j.mu.Lock()
+			durable = j.clientCancel
+			j.mu.Unlock()
 		default:
-			j.status = jobFailed
+			t.status = jobFailed
 			if ae, ok := err.(*apiError); ok {
-				j.err = ae
+				t.err = ae
 			} else {
-				j.err = &apiError{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
+				t.err = &apiError{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
 			}
 		}
-		j.eventsCh.Broadcast()
-		j.mu.Unlock()
-		if persist {
-			js.persistDone(j)
-		}
+		js.finish(j, t, durable)
 	}()
 }
 
-// planJob maps a job type to the sync endpoint's planner, so job results
-// and sync results share canonical digests (and so response bytes).
+// planJob plans a job through its type's op table entry — the sync
+// route's planner — so job results and sync results share canonical
+// digests (and so response bytes).
 func planJob(spec *JobSpec) (*plan, *apiError) {
 	if len(spec.Request) == 0 {
 		return nil, badRequest("invalid_job", "job request body missing")
 	}
-	switch spec.Type {
-	case "design":
-		var req DesignSpec
-		if aerr := decodeStrict(spec.Request, &req); aerr != nil {
-			return nil, aerr
+	for _, o := range ops {
+		if o.name == spec.Type {
+			return o.plan(spec.Request)
 		}
-		return planDesign(&req)
-	case "evaluate":
-		var req EvaluateRequest
-		if aerr := decodeStrict(spec.Request, &req); aerr != nil {
-			return nil, aerr
-		}
-		return planEvaluate(&req)
-	case "capacity-search":
-		var req CapacitySearchRequest
-		if aerr := decodeStrict(spec.Request, &req); aerr != nil {
-			return nil, aerr
-		}
-		return planCapacitySearch(&req)
-	case "whatif":
-		var req WhatIfRequest
-		if aerr := decodeStrict(spec.Request, &req); aerr != nil {
-			return nil, aerr
-		}
-		return planWhatIf(&req)
-	case "rewire-plan":
-		var req RewireRequest
-		if aerr := decodeStrict(spec.Request, &req); aerr != nil {
-			return nil, aerr
-		}
-		return planRewire(&req)
-	default:
-		return nil, badRequest("unknown_job_type", "unknown job type %q (want design, evaluate, capacity-search, whatif, or rewire-plan)", spec.Type)
 	}
+	return nil, badRequest("unknown_job_type", "unknown job type %q (want %s)", spec.Type, opNames())
 }
 
 // olderID orders job ids by age. Ids are zero-padded sequence numbers,

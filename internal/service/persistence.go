@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"jellyfish/internal/persist"
+	"jellyfish/internal/telemetry"
 )
 
 // Durable job store plumbing. The journal holds one JSON record per
@@ -56,7 +57,15 @@ func (pe *persistedError) toAPIError() *apiError {
 // meaningful: submit carries the request envelope, done the terminal
 // state and blob digests, evict just the id.
 type jobRecord struct {
-	Kind    string          `json:"kind"`
+	Kind string `json:"kind"`
+	persistedJob
+}
+
+// persistedJob is a job's durable view: the submit envelope plus, once
+// terminal, the done fields. It is the body of every journal record, the
+// snapshot entry, and the replay accumulator; empty fields are omitted,
+// so each record kind carries only its own.
+type persistedJob struct {
 	ID      string          `json:"id"`
 	Seq     int             `json:"seq,omitempty"`
 	Type    string          `json:"type,omitempty"`
@@ -71,22 +80,34 @@ type jobRecord struct {
 	EventsDigest string          `json:"eventsDigest,omitempty"`
 }
 
-// persistedJob is a job's durable view: the submit envelope plus, once
-// terminal, the done fields. It doubles as the snapshot entry and the
-// replay accumulator.
-type persistedJob struct {
-	ID      string          `json:"id"`
-	Seq     int             `json:"seq"`
-	Type    string          `json:"type"`
-	Request json.RawMessage `json:"request"`
-	Created string          `json:"created"`
+// A terminal is a finished job's state: what its done record and its
+// snapshot entry persist, and what publishing makes visible. The trace
+// is published but never persisted.
+type terminal struct {
+	status            string
+	started, finished time.Time
+	err               *apiError
+	result            []byte
+	events            [][]byte
+	trace             *telemetry.Trace
+}
 
-	Status       string          `json:"status,omitempty"`
-	Started      string          `json:"started,omitempty"`
-	Finished     string          `json:"finished,omitempty"`
-	Error        *persistedError `json:"error,omitempty"`
-	ResultDigest string          `json:"resultDigest,omitempty"`
-	EventsDigest string          `json:"eventsDigest,omitempty"`
+// persistTerminal writes t's result and event-stream blobs and fills
+// pj's terminal fields from t. Blobs land before any record that
+// references them, so a crash in between leaves only unreferenced blobs
+// (collected at the next snapshot), never a dangling digest. Caller
+// holds pmu.
+func (js *jobStore) persistTerminal(pj *persistedJob, t *terminal) error {
+	pj.Status = t.status
+	pj.Started = formatTime(t.started)
+	pj.Finished = formatTime(t.finished)
+	pj.Error = toPersistedError(t.err)
+	var err error
+	if pj.ResultDigest, err = putOptionalBlob(js.store, t.result); err != nil {
+		return err
+	}
+	pj.EventsDigest, err = putOptionalBlob(js.store, encodeEvents(t.events))
+	return err
 }
 
 // snapshotDoc is the snapshot file: everything needed to rebuild the
@@ -97,11 +118,11 @@ type snapshotDoc struct {
 	Jobs    []persistedJob `json:"jobs"`
 }
 
-// appendRecord journals one record and advances the snapshot cadence.
-// A write failure is surfaced so submit can refuse to acknowledge a job
-// that would vanish on restart — and flips the store into degraded
-// (read-only) mode. A later successful append is the recovery probe
-// that flips it back (DESIGN.md §16). No-op without a store.
+// appendRecord journals one record. A write failure is surfaced so
+// submit can refuse to acknowledge a job that would vanish on restart —
+// and flips the store into degraded (read-only) mode. A later successful
+// append is the recovery probe that flips it back (DESIGN.md §16). No-op
+// without a store.
 func (js *jobStore) appendRecord(rec *jobRecord) *apiError {
 	js.pmu.Lock()
 	defer js.pmu.Unlock()
@@ -113,12 +134,19 @@ func (js *jobStore) appendRecord(rec *jobRecord) *apiError {
 		return &apiError{Status: http.StatusServiceUnavailable, Code: "degraded",
 			Message: fmt.Sprintf("journal write failed (%v); serving read-only until writes recover — retry the submission", err)}
 	}
+	js.appendedUnderPMU()
+	return nil
+}
+
+// appendedUnderPMU is the tail of every successful append: it advances
+// the snapshot cadence, and the append doubles as the degraded-mode
+// recovery probe.
+func (js *jobStore) appendedUnderPMU() {
 	js.appended++
 	js.recoverDegradedUnderPMU()
 	if js.appended >= js.snapshotEvery {
 		js.snapshotUnderPMU()
 	}
-	return nil
 }
 
 // enterDegradedUnderPMU flips the store into read-only degraded mode
@@ -126,14 +154,14 @@ func (js *jobStore) appendRecord(rec *jobRecord) *apiError {
 func (js *jobStore) enterDegradedUnderPMU(reason string) {
 	if !js.degraded.Swap(true) {
 		fmt.Printf("jellyfishd: entering degraded mode: %s\n", reason)
-		js.tele.degradedTransitions().Inc()
-		js.tele.degradedGauge().Set(1)
+		js.tele.degradedFlips.Inc()
+		js.tele.degradedState.Set(1)
 	}
 }
 
 // recoverDegradedUnderPMU clears degraded mode after a successful
 // persist write and immediately snapshots the live store. The snapshot
-// is what makes recovery lossless: any terminal job whose persistDone
+// is what makes recovery lossless: any terminal job whose done record
 // failed while degraded is re-persisted here from memory (buildSnapshot
 // rewrites every terminal job's blobs and records), so a restart after
 // recovery loses no terminal state. If the snapshot itself fails the
@@ -142,56 +170,48 @@ func (js *jobStore) recoverDegradedUnderPMU() {
 	if !js.degraded.Swap(false) {
 		return
 	}
-	js.tele.degradedGauge().Set(0)
+	js.tele.degradedState.Set(0)
 	fmt.Printf("jellyfishd: persist writes recovered; snapshotting to re-persist degraded-era terminal jobs\n")
 	if err := js.snapshotUnderPMU(); err != nil {
 		js.enterDegradedUnderPMU(fmt.Sprintf("recovery snapshot: %v", err))
 	}
 }
 
-// persistDone writes a finished job's result and event stream to blob
-// storage and journals the terminal record. Blobs land before the record
-// that references them, so a crash between the two leaves only harmless
-// unreferenced blobs (collected at the next snapshot), never a dangling
-// digest.
-func (js *jobStore) persistDone(j *job) {
+// finish makes a finished execution durable, then visible: under pmu it
+// writes the result and event blobs, appends the done record, publishes
+// the terminal status, and only then runs the snapshot cadence — so a
+// visible terminal status implies a journaled done record, and a
+// cadence snapshot never sees the job still running (which would
+// truncate its own done record away). Two cases publish without a
+// record: a shutdown-interrupted job (durable is false; its bare submit
+// record makes the next boot re-run it), and a failed write, which
+// flips the store into degraded mode — the job stays servable from
+// memory and the recovery snapshot re-persists it once writes come back.
+func (js *jobStore) finish(j *job, t terminal, durable bool) {
 	js.pmu.Lock()
 	defer js.pmu.Unlock()
-	if js.store == nil {
-		return
+	j.mu.Lock()
+	t.started, t.events = j.started, j.events
+	j.mu.Unlock()
+	journaled := false
+	if durable && js.store != nil {
+		rec := &jobRecord{Kind: recDone, persistedJob: persistedJob{ID: j.id}}
+		err := js.persistTerminal(&rec.persistedJob, &t)
+		if err == nil {
+			err = js.store.Append(mustJSON(rec))
+		}
+		if err != nil {
+			fmt.Printf("jellyfishd: persisting job %s: %v\n", j.id, err)
+			js.enterDegradedUnderPMU(fmt.Sprintf("persisting job %s: %v", j.id, err))
+		}
+		journaled = err == nil
 	}
 	j.mu.Lock()
-	rec := &jobRecord{
-		Kind:     recDone,
-		ID:       j.id,
-		Status:   j.status,
-		Started:  formatTime(j.started),
-		Finished: formatTime(j.finished),
-		Error:    toPersistedError(j.err),
-	}
-	result := j.result
-	events := j.events
+	j.status, j.finished, j.err, j.result, j.trace = t.status, t.finished, t.err, t.result, t.trace
+	j.eventsCh.Broadcast()
 	j.mu.Unlock()
-	var err error
-	if rec.ResultDigest, err = putOptionalBlob(js.store, result); err == nil {
-		rec.EventsDigest, err = putOptionalBlob(js.store, encodeEvents(events))
-	}
-	if err == nil {
-		err = js.store.Append(mustJSON(rec))
-	}
-	if err != nil {
-		// The job finished in memory and stays servable; the recovery
-		// snapshot re-persists it once writes come back (or, failing
-		// that, it simply re-runs after a restart). Losing durability is
-		// worth a degraded flag and a log line, not a crash.
-		fmt.Printf("jellyfishd: persisting job %s: %v\n", j.id, err)
-		js.enterDegradedUnderPMU(fmt.Sprintf("persisting job %s: %v", j.id, err))
-		return
-	}
-	js.appended++
-	js.recoverDegradedUnderPMU()
-	if js.appended >= js.snapshotEvery {
-		js.snapshotUnderPMU()
+	if journaled {
+		js.appendedUnderPMU()
 	}
 }
 
@@ -278,9 +298,9 @@ func (js *jobStore) snapshotUnderPMU() error {
 // buildSnapshot renders the live store as a snapshotDoc plus the set of
 // blob digests it references. Terminal jobs' blobs are (re)written here
 // so the snapshot never references a digest the blob store lacks — a
-// snapshot can race a finishing job whose persistDone has not run yet.
+// job published in degraded mode has no blobs of its own yet.
 // Shutdown-interrupted jobs (cancelled without clientCancel) snapshot as
-// unfinished so the next boot re-runs them.
+// unfinished so the next boot re-runs them. Caller holds pmu.
 func (js *jobStore) buildSnapshot() (*snapshotDoc, map[string]bool, error) {
 	js.mu.Lock()
 	jobs := make([]*job, 0, len(js.jobs))
@@ -306,30 +326,14 @@ func (js *jobStore) buildSnapshot() (*snapshotDoc, map[string]bool, error) {
 			Created: formatTime(j.created),
 		}
 		durableTerminal := terminalStatus(j.status) && (j.status != jobCancelled || j.clientCancel)
-		var result, eventsBlob []byte
-		if durableTerminal {
-			pj.Status = j.status
-			pj.Started = formatTime(j.started)
-			pj.Finished = formatTime(j.finished)
-			pj.Error = toPersistedError(j.err)
-			result = j.result
-			eventsBlob = encodeEvents(j.events)
-		}
+		t := terminal{status: j.status, started: j.started, finished: j.finished, err: j.err, result: j.result, events: j.events}
 		j.mu.Unlock()
 		if durableTerminal {
-			var err error
-			if pj.ResultDigest, err = putOptionalBlob(js.store, result); err != nil {
+			if err := js.persistTerminal(&pj, &t); err != nil {
 				return nil, nil, err
 			}
-			if pj.EventsDigest, err = putOptionalBlob(js.store, eventsBlob); err != nil {
-				return nil, nil, err
-			}
-			if pj.ResultDigest != "" {
-				live[pj.ResultDigest] = true
-			}
-			if pj.EventsDigest != "" {
-				live[pj.EventsDigest] = true
-			}
+			live[pj.ResultDigest] = true
+			live[pj.EventsDigest] = true
 		}
 		doc.Jobs = append(doc.Jobs, pj)
 	}
@@ -376,9 +380,8 @@ func (js *jobStore) recoverJobs(sched *scheduler, state persist.RecoveredState) 
 		}
 		switch rec.Kind {
 		case recSubmit:
-			byID[rec.ID] = &persistedJob{
-				ID: rec.ID, Seq: rec.Seq, Type: rec.Type, Request: rec.Request, Created: rec.Created,
-			}
+			pj := rec.persistedJob
+			byID[rec.ID] = &pj
 			if rec.Seq > maxSeq {
 				maxSeq = rec.Seq
 			}

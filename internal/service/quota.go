@@ -136,7 +136,7 @@ func (q *quotaTable) checkQuota(w http.ResponseWriter, r *http.Request) *apiErro
 	if ok {
 		return nil
 	}
-	q.tele.quotaRejected().Inc()
+	q.tele.quotaRejects.Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	return &apiError{Status: http.StatusTooManyRequests, Code: "quota_exceeded",
 		Message: "per-client request quota exceeded; honor Retry-After and slow down"}

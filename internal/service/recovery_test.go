@@ -305,6 +305,37 @@ func TestSnapshotCompactsJournalAndCollectsBlobs(t *testing.T) {
 	}
 }
 
+// When a job's own done record trips the snapshot cadence, the snapshot
+// must already see the job terminal: one that still saw it running would
+// truncate the done record away and lose the result. A hard stop right
+// after must replay the job as finished, not re-run it.
+func TestDoneRecordTrippingSnapshotStaysDurable(t *testing.T) {
+	dir := t.TempDir()
+	// Submit record = append 1, done record = append 2 → snapshot.
+	ts, srv := durableServer(t, dir, Options{Workers: 1, SnapshotEvery: 2})
+	v := submitJob(t, ts.URL, recoveryJobBody)
+	before := waitJob(t, ts.URL, v.ID)
+	if before.Status != jobSucceeded {
+		t.Fatalf("job: %s", before.Status)
+	}
+	crash(ts, srv, make(chan struct{}))
+
+	ts2, srv2 := durableServer(t, dir, Options{Workers: 1})
+	defer func() { ts2.Close(); srv2.Close() }()
+	status, body := doGet(t, ts2.URL+"/v1/jobs/"+v.ID)
+	if status != http.StatusOK {
+		t.Fatalf("job after restart: status %d: %s", status, body)
+	}
+	var after JobView
+	if err := json.Unmarshal(body, &after); err != nil {
+		t.Fatal(err)
+	}
+	if after.Status != jobSucceeded || after.Started != before.Started || after.Finished != before.Finished {
+		t.Fatalf("job after restart: %s started %s finished %s, want the replayed run: %s started %s finished %s",
+			after.Status, after.Started, after.Finished, before.Status, before.Started, before.Finished)
+	}
+}
+
 func TestDrainRejectsNewWorkAndFinishesJobs(t *testing.T) {
 	dir := t.TempDir()
 	ts, srv := durableServer(t, dir, Options{Workers: 1})

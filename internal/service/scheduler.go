@@ -39,8 +39,8 @@ var errSchedulerClosed = errors.New("service: scheduler closed")
 type plan struct {
 	family string
 	key    string
-	// op names the operation ("design", "evaluate", …) for the per-op
-	// duration series and the root span of the recorded trace.
+	// op is the op table name (ops) that planned this: the per-op
+	// duration series label and the root span of the recorded trace.
 	op  string
 	run func(ctx context.Context, w *worker) (any, error)
 }
@@ -82,16 +82,6 @@ type cachedResult struct {
 	trace *telemetry.Trace
 }
 
-type stats struct {
-	resultHits   atomic.Int64
-	resultMisses atomic.Int64
-	familyHits   atomic.Int64
-	chainHits    atomic.Int64
-	simHits      atomic.Int64
-	deduped      atomic.Int64
-	syncRejected atomic.Int64
-}
-
 // worker is one cache shard: a queue, the warm-state cache it owns, and
 // the goroutine (spawned in newScheduler) that is the sole executor of
 // everything behind it.
@@ -101,19 +91,29 @@ type worker struct {
 	queue         chan *task
 	cache         *lru
 	solverWorkers int
-	stats         *stats
 	// tele is this shard's telemetry (never nil; inert when disabled).
 	// Its flight recorder is confined to this worker's goroutine.
 	tele *workerTele
-	// cacheLen mirrors cache.len() for the stats endpoint (the cache
-	// itself is confined to this worker's goroutine).
+	// cacheLen mirrors cache.len() for the cache-entries gauge (the
+	// cache itself is confined to this worker's goroutine).
 	cacheLen atomic.Int64
+}
+
+// lookup reads key from the worker's cache, counting a hit or a miss
+// on the given tier.
+func (w *worker) lookup(tier int, key string) (any, bool) {
+	v, ok := w.cache.get(key)
+	if ok {
+		w.tele.hits[tier].Inc()
+	} else {
+		w.tele.misses[tier].Inc()
+	}
+	return v, ok
 }
 
 type scheduler struct {
 	workers []*worker
-	stats   stats
-	tele    *tele // nil when telemetry is disabled
+	tele    *tele
 
 	mu       sync.Mutex
 	inflight map[string]*task
@@ -135,7 +135,6 @@ func newScheduler(workers, solverWorkers, cacheEntries int, tl *tele) *scheduler
 			queue:         make(chan *task, 256),
 			cache:         newLRU(cacheEntries),
 			solverWorkers: solverWorkers,
-			stats:         &s.stats,
 			tele:          tl.worker(i),
 		}
 		s.workers[i] = w
@@ -170,7 +169,7 @@ func (s *scheduler) do(ctx context.Context, p *plan, dedup bool, onStart func(),
 	if dedup {
 		if prior, ok := s.inflight[p.key]; ok {
 			s.mu.Unlock()
-			s.stats.deduped.Add(1)
+			s.tele.deduped.Inc()
 			<-prior.done
 			// A deduped follower receives the leader's event stream after
 			// the fact — identical payload bytes, just not live.
@@ -212,7 +211,7 @@ func (w *worker) execute(s *scheduler, t *task) {
 		}
 		close(t.done)
 	}()
-	s.tele.queueWaitH().ObserveSince(t.enq)
+	s.tele.queueWait.ObserveSince(t.enq)
 	if faultinject.Enabled() {
 		// Chaos site: a stall here models a wedged shard worker (slow
 		// disk, scheduler starvation) without touching kernel code. Only
@@ -229,10 +228,8 @@ func (w *worker) execute(s *scheduler, t *task) {
 			return
 		}
 	}
-	if v, ok := w.cache.get("resp:" + t.key); ok {
+	if v, ok := w.lookup(tierResp, "resp:"+t.key); ok {
 		cr := v.(*cachedResult)
-		w.stats.resultHits.Add(1)
-		w.tele.respHits.Inc()
 		if t.onEvent != nil {
 			for _, e := range cr.events {
 				t.onEvent(e)
@@ -243,8 +240,6 @@ func (w *worker) execute(s *scheduler, t *task) {
 		t.trace = cr.trace
 		return
 	}
-	w.stats.resultMisses.Add(1)
-	w.tele.respMisses.Inc()
 	if t.onStart != nil {
 		t.onStart()
 	}
@@ -258,7 +253,7 @@ func (w *worker) execute(s *scheduler, t *task) {
 	v, err := runGuarded(s, t, w)
 	w.tele.rec.End()
 	t.trace = w.tele.rec.TraceSince(mark)
-	s.tele.opDurH(t.op).ObserveSince(opT)
+	s.tele.opDur[t.op].ObserveSince(opT)
 	if err != nil {
 		t.err = err
 		return
@@ -301,7 +296,7 @@ func runGuarded(s *scheduler, t *task, w *worker) (v any, err error) {
 		if r := recover(); r != nil {
 			w.cache.remove(t.family)
 			w.cache.remove("sim:" + t.family)
-			s.tele.panicsContained().Inc()
+			s.tele.panics.Inc()
 			err = &apiError{Status: http.StatusInternalServerError, Code: "internal_error",
 				Message: fmt.Sprintf("executor panic: %v", r)}
 		}
@@ -337,22 +332,4 @@ func (s *scheduler) close() {
 		close(w.queue)
 	}
 	s.wg.Wait()
-}
-
-func (s *scheduler) statsSnapshot() StatsResponse {
-	entries := 0
-	for _, w := range s.workers {
-		entries += int(w.cacheLen.Load())
-	}
-	return StatsResponse{
-		Workers:      len(s.workers),
-		ResultHits:   s.stats.resultHits.Load(),
-		ResultMisses: s.stats.resultMisses.Load(),
-		FamilyHits:   s.stats.familyHits.Load(),
-		ChainHits:    s.stats.chainHits.Load(),
-		SimHits:      s.stats.simHits.Load(),
-		Deduped:      s.stats.deduped.Load(),
-		SyncRejected: s.stats.syncRejected.Load(),
-		CacheEntries: entries,
-	}
 }

@@ -92,8 +92,8 @@ type Server struct {
 	sched *scheduler
 	jobs  *jobStore
 	mux   *http.ServeMux
-	// tele is the telemetry bundle behind /metrics and /v1/trace (nil
-	// with Options.DisableTelemetry).
+	// tele is the telemetry bundle behind /metrics and /v1/trace (the
+	// inert zero bundle with Options.DisableTelemetry).
 	tele *tele
 	// syncSem admits synchronous planning requests (admission control);
 	// nil = unlimited.
@@ -110,7 +110,7 @@ type Server struct {
 // that refuses to start.
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
-	var tl *tele
+	tl := &tele{}
 	if !opt.DisableTelemetry {
 		tl = newTele(opt.Workers)
 	}
@@ -134,7 +134,7 @@ func New(opt Options) (*Server, error) {
 			s.sched.close()
 			return nil, fmt.Errorf("opening state dir %s: %w", opt.StateDir, err)
 		}
-		store.SetObs(tl.storeObs())
+		store.SetObs(tl.store)
 		s.jobs.store = store
 		s.jobs.snapshotEvery = opt.SnapshotEvery
 		replayT := telemetry.StartTimer()
@@ -143,17 +143,14 @@ func New(opt Options) (*Server, error) {
 			s.sched.close()
 			return nil, fmt.Errorf("replaying state dir %s: %w", opt.StateDir, err)
 		}
-		tl.replayH().ObserveSince(replayT)
+		tl.replayDur.ObserveSince(replayT)
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/trace/{id}", s.handleTrace)
-	s.mux.HandleFunc("POST /v1/design", s.handleDesign)
-	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
-	s.mux.HandleFunc("POST /v1/capacity-search", s.handleCapacitySearch)
-	s.mux.HandleFunc("POST /v1/whatif", s.handleWhatIf)
-	s.mux.HandleFunc("POST /v1/rewire-plan", s.handleRewire)
+	for _, o := range ops {
+		s.mux.HandleFunc("POST /v1/"+o.name, s.handleSync(o))
+	}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
@@ -181,7 +178,7 @@ func (s *Server) Close() {
 	s.jobs.mu.Unlock()
 	// Wait for executor goroutines: they exit promptly once cancelled
 	// (queued jobs at dequeue, running ones at the next interrupt poll),
-	// and the store must not close under a persistDone in flight.
+	// and the store must not close under a finish in flight.
 	for _, j := range jobs {
 		<-j.done
 	}
@@ -252,15 +249,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(`{"status":"ok"}`))
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sched.statsSnapshot())
-}
-
 // handleMetrics serves the Prometheus text exposition. Scraping walks
 // fixed registry slots and read-out bridges; it never takes a lock an
 // instrument writer holds, so a scrape cannot stall a solve.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.tele == nil {
+	if s.tele.reg == nil {
 		writeErr(w, &apiError{Status: http.StatusNotFound, Code: "telemetry_disabled",
 			Message: "telemetry is disabled on this daemon"})
 		return
@@ -312,31 +305,44 @@ func decodeStrict(data []byte, v any) *apiError {
 	return nil
 }
 
-// readBody reads and strictly decodes an HTTP request body.
-func readBody(r *http.Request, v any) *apiError {
+// readBody reads an HTTP request body.
+func readBody(r *http.Request) ([]byte, *apiError) {
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 16<<20))
 	if err != nil {
-		return badRequest("invalid_body", "reading request body: %v", err)
+		return nil, badRequest("invalid_body", "reading request body: %v", err)
 	}
-	return decodeStrict(body, v)
+	return body, nil
 }
 
-// runSync admits, plans, schedules with single-flight dedup, and writes
-// the response. Sync executions deliberately run with a background
-// context: a dropped client must not abort work that concurrent
-// identical requests — or the response cache — will want. Heavy
-// operations that need cancellation belong on the job API.
+// handleSync serves an op's sync route (POST /v1/{name}). Malformed
+// requests are rejected before runSync, without consuming an admission
+// slot or quota.
+func (s *Server) handleSync(o op) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, aerr := readBody(r)
+		var p *plan
+		if aerr == nil {
+			p, aerr = o.plan(body)
+		}
+		if aerr != nil {
+			writeErr(w, aerr)
+			return
+		}
+		s.runSync(w, r, p)
+	}
+}
+
+// runSync admits, schedules with single-flight dedup, and writes the
+// response. Sync executions deliberately run with a background context:
+// a dropped client must not abort work that concurrent identical
+// requests — or the response cache — will want. Heavy operations that
+// need cancellation belong on the job API.
 //
 // Admission happens before scheduling: when MaxSyncInflight requests are
 // already in flight the server answers 429 with a Retry-After hint
 // instead of queueing — saturation should surface at the edge, not as
-// unbounded shard-queue latency. Malformed requests (aerr != nil) are
-// rejected without consuming an admission slot or quota.
-func (s *Server) runSync(w http.ResponseWriter, r *http.Request, p *plan, aerr *apiError) {
-	if aerr != nil {
-		writeErr(w, aerr)
-		return
-	}
+// unbounded shard-queue latency.
+func (s *Server) runSync(w http.ResponseWriter, r *http.Request, p *plan) {
 	if qerr := s.quota.checkQuota(w, r); qerr != nil {
 		writeErr(w, qerr)
 		return
@@ -354,7 +360,7 @@ func (s *Server) runSync(w http.ResponseWriter, r *http.Request, p *plan, aerr *
 		case s.syncSem <- struct{}{}:
 			defer func() { <-s.syncSem }()
 		default:
-			s.sched.stats.syncRejected.Add(1)
+			s.tele.syncRejected.Inc()
 			w.Header().Set("Retry-After", "1")
 			writeErr(w, &apiError{
 				Status: http.StatusTooManyRequests, Code: "overloaded",
@@ -372,59 +378,13 @@ func (s *Server) runSync(w http.ResponseWriter, r *http.Request, p *plan, aerr *
 	w.Write(resp)
 }
 
-func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
-	var req DesignSpec
-	if aerr := readBody(r, &req); aerr != nil {
-		writeErr(w, aerr)
-		return
-	}
-	p, aerr := planDesign(&req)
-	s.runSync(w, r, p, aerr)
-}
-
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req EvaluateRequest
-	if aerr := readBody(r, &req); aerr != nil {
-		writeErr(w, aerr)
-		return
-	}
-	p, aerr := planEvaluate(&req)
-	s.runSync(w, r, p, aerr)
-}
-
-func (s *Server) handleCapacitySearch(w http.ResponseWriter, r *http.Request) {
-	var req CapacitySearchRequest
-	if aerr := readBody(r, &req); aerr != nil {
-		writeErr(w, aerr)
-		return
-	}
-	p, aerr := planCapacitySearch(&req)
-	s.runSync(w, r, p, aerr)
-}
-
-func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
-	var req WhatIfRequest
-	if aerr := readBody(r, &req); aerr != nil {
-		writeErr(w, aerr)
-		return
-	}
-	p, aerr := planWhatIf(&req)
-	s.runSync(w, r, p, aerr)
-}
-
-func (s *Server) handleRewire(w http.ResponseWriter, r *http.Request) {
-	var req RewireRequest
-	if aerr := readBody(r, &req); aerr != nil {
-		writeErr(w, aerr)
-		return
-	}
-	p, aerr := planRewire(&req)
-	s.runSync(w, r, p, aerr)
-}
-
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+	body, aerr := readBody(r)
 	var spec JobSpec
-	if aerr := readBody(r, &spec); aerr != nil {
+	if aerr == nil {
+		aerr = decodeStrict(body, &spec)
+	}
+	if aerr != nil {
 		writeErr(w, aerr)
 		return
 	}

@@ -281,6 +281,7 @@ func TestValidationErrors(t *testing.T) {
 		{"degree over ports", "/v1/design", `{"switches":10,"ports":4,"networkDegree":5,"seed":1}`, "invalid_config"},
 		{"bad search ports", "/v1/capacity-search", `{"switches":10,"ports":1,"seed":1}`, "invalid_config"},
 		{"negative trials", "/v1/capacity-search", `{"switches":10,"ports":4,"trials":-1,"seed":1}`, "invalid_config"},
+		{"search coldStart", "/v1/capacity-search", `{"switches":10,"ports":4,"seed":1,"coldStart":true}`, "invalid_json"},
 		{"evaluate no topology", "/v1/evaluate", `{"seed":1}`, "invalid_topology"},
 		{"evaluate both topologies", "/v1/evaluate", `{"topology":{"design":{"switches":4,"ports":4,"networkDegree":2,"seed":1},"blueprint":{}},"seed":1}`, "invalid_topology"},
 		{"bad blueprint", "/v1/evaluate", `{"topology":{"blueprint":{"ports":[4],"servers":[1,2]}},"seed":1}`, "invalid_blueprint"},
@@ -311,27 +312,47 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// waitJob polls until the job reaches a terminal state.
+// tierHits and tierMisses sum one cache tier's counters across the
+// server's shard workers.
+func tierHits(srv *Server, tier int) int64 {
+	var n int64
+	for _, w := range srv.sched.workers {
+		n += w.tele.hits[tier].Value()
+	}
+	return n
+}
+
+func tierMisses(srv *Server, tier int) int64 {
+	var n int64
+	for _, w := range srv.sched.workers {
+		n += w.tele.misses[tier].Value()
+	}
+	return n
+}
+
+// waitJob follows the job's event stream to its done frame — sent only
+// once the job is terminal — and returns the job's final view.
 func waitJob(t *testing.T, base, id string) JobView {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		status, body := doGet(t, base+"/v1/jobs/"+id)
-		if status != http.StatusOK {
-			t.Fatalf("job get: status %d: %s", status, body)
-		}
-		var v JobView
-		if err := json.Unmarshal(body, &v); err != nil {
-			t.Fatal(err)
-		}
-		switch v.Status {
-		case jobSucceeded, jobFailed, jobCancelled:
-			return v
-		}
-		time.Sleep(10 * time.Millisecond)
+	client := http.Client{Timeout: 60 * time.Second}
+	resp, err := client.Get(base + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatalf("following job %s: %v", id, err)
 	}
-	t.Fatal("job did not finish in time")
-	return JobView{}
+	stream, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Contains(stream, []byte("event: done\n")) {
+		t.Fatalf("job %s events: status %d, err %v, no done frame in %q", id, resp.StatusCode, err, stream)
+	}
+	status, body := doGet(t, base+"/v1/jobs/"+id)
+	if status != http.StatusOK {
+		t.Fatalf("job get: status %d: %s", status, body)
+	}
+	var v JobView
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // A job's result must be byte-identical to the sync endpoint's response
@@ -417,10 +438,10 @@ func TestSingleFlightExecutesOnce(t *testing.T) {
 			t.Fatalf("client %d got different bytes", i)
 		}
 	}
-	if misses := srv.sched.stats.resultMisses.Load(); misses != 1 {
+	if misses := tierMisses(srv, tierResp); misses != 1 {
 		t.Fatalf("%d executions for %d identical requests, want exactly 1", misses, clients)
 	}
-	if hits := srv.sched.stats.resultHits.Load() + srv.sched.stats.deduped.Load(); hits != clients-1 {
+	if hits := tierHits(srv, tierResp) + srv.tele.deduped.Value(); hits != clients-1 {
 		t.Fatalf("hits+deduped = %d, want %d", hits, clients-1)
 	}
 }

@@ -13,10 +13,11 @@ import (
 // The service's telemetry bundle: every metric slot and flight recorder
 // the daemon owns, registered once at construction and surfaced on
 // GET /metrics (Prometheus text format) and GET /v1/trace/{id} (the
-// recorded span tree of a finished job). A nil *tele — the
-// Options.DisableTelemetry configuration — disables everything through
-// the instruments' nil-safety; there is no second code path, which is
-// what the byte-identity tests in telemetry_test.go rely on.
+// recorded span tree of a finished job). The zero tele — the
+// Options.DisableTelemetry configuration — has a nil registry and nil
+// instruments, and disables everything through the instruments'
+// nil-safety; there is no second code path, which is what the
+// byte-identity tests in telemetry_test.go rely on.
 //
 // Confinement: counters and histograms are shared atomics and may be
 // written from any goroutine; each shard worker's flight Recorder is
@@ -31,11 +32,17 @@ import (
 // the overflow). At ~56 bytes a span this is ~56 KiB per worker.
 const recorderSpans = 1024
 
-// ops enumerates the planning operations for per-op duration series.
-var ops = []string{"design", "evaluate", "capacity-search", "whatif", "rewire-plan"}
+// The warm-state cache tiers, indexing each worker's hit/miss counters.
+const (
+	tierResp = iota
+	tierFamily
+	tierChain
+	tierSim
+	numTiers
+)
 
-// cacheTiers enumerates the warm-state cache tiers for hit/miss series.
-var cacheTiers = []string{"resp", "family", "chain", "sim"}
+// tierNames label the tiers' hit/miss series.
+var tierNames = [numTiers]string{"resp", "family", "chain", "sim"}
 
 // workerTele is one shard worker's telemetry: the goroutine-confined
 // flight recorder plus that worker's per-tier cache counters and the
@@ -47,10 +54,7 @@ var cacheTiers = []string{"resp", "family", "chain", "sim"}
 type workerTele struct {
 	rec *telemetry.Recorder
 
-	respHits, respMisses     *telemetry.Counter
-	familyHits, familyMisses *telemetry.Counter
-	chainHits, chainMisses   *telemetry.Counter
-	simHits, simMisses       *telemetry.Counter
+	hits, misses [numTiers]*telemetry.Counter
 
 	// search carries the worker's recorder and the shared kernel
 	// counters into capacity searches (capsearch.probe > capsearch.trial
@@ -58,16 +62,18 @@ type workerTele struct {
 	search *capsearch.Obs
 }
 
-// tele is the server-wide bundle behind /metrics. Nil means telemetry
-// is disabled; every method is nil-receiver-safe.
+// tele is the server-wide bundle behind /metrics. The zero value
+// (telemetry disabled) records nothing.
 type tele struct {
 	reg *telemetry.Registry
 
-	opDur     map[string]*telemetry.Histogram
-	queueWait *telemetry.Histogram
-	sseSubs   *telemetry.Gauge
-	replayDur *telemetry.Histogram
-	store     *persist.Obs
+	opDur        map[string]*telemetry.Histogram
+	queueWait    *telemetry.Histogram
+	sseSubs      *telemetry.Gauge
+	replayDur    *telemetry.Histogram
+	store        *persist.Obs
+	deduped      *telemetry.Counter
+	syncRejected *telemetry.Counter
 
 	// Failure-containment families (DESIGN.md §16).
 	panics        *telemetry.Counter
@@ -93,10 +99,10 @@ func newTele(workers int) *tele {
 		t.workers[i] = &workerTele{rec: telemetry.NewRecorder(recorderSpans)}
 	}
 
-	for _, op := range ops {
-		t.opDur[op] = reg.Histogram("jellyfishd_op_duration_seconds",
+	for _, o := range ops {
+		t.opDur[o.name] = reg.Histogram("jellyfishd_op_duration_seconds",
 			"Cold execution time of one planning operation on its shard worker (cache hits excluded).",
-			telemetry.Labels("op", op))
+			telemetry.Labels("op", o.name))
 	}
 	t.queueWait = reg.Histogram("jellyfishd_scheduler_queue_wait_seconds",
 		"Time a task spent queued on its shard before execution began.", "")
@@ -127,38 +133,18 @@ func newTele(workers int) *tele {
 			"Snapshot write latency (temp file, fsync, rename, journal reset).", ""),
 	}
 
-	for _, tier := range cacheTiers {
+	for tier, name := range tierNames {
 		for i, wt := range t.workers {
-			c := reg.Counter("jellyfishd_cache_hits_total",
+			wt.hits[tier] = reg.Counter("jellyfishd_cache_hits_total",
 				"Warm-state cache hits by worker and tier.",
-				telemetry.Labels("worker", strconv.Itoa(i), "tier", tier))
-			switch tier {
-			case "resp":
-				wt.respHits = c
-			case "family":
-				wt.familyHits = c
-			case "chain":
-				wt.chainHits = c
-			case "sim":
-				wt.simHits = c
-			}
+				telemetry.Labels("worker", strconv.Itoa(i), "tier", name))
 		}
 	}
-	for _, tier := range cacheTiers {
+	for tier, name := range tierNames {
 		for i, wt := range t.workers {
-			c := reg.Counter("jellyfishd_cache_misses_total",
+			wt.misses[tier] = reg.Counter("jellyfishd_cache_misses_total",
 				"Warm-state cache misses by worker and tier.",
-				telemetry.Labels("worker", strconv.Itoa(i), "tier", tier))
-			switch tier {
-			case "resp":
-				wt.respMisses = c
-			case "family":
-				wt.familyMisses = c
-			case "chain":
-				wt.chainMisses = c
-			case "sim":
-				wt.simMisses = c
-			}
+				telemetry.Labels("worker", strconv.Itoa(i), "tier", name))
 		}
 	}
 
@@ -197,11 +183,11 @@ func newTele(workers int) *tele {
 }
 
 // bindScheduler registers the read-out bridges over the scheduler's own
-// state: per-worker queue depth and cache size, plus the counters the
-// stats endpoint already tracks in non-telemetry atomics. Called once,
-// right after the scheduler is built.
+// state (per-worker queue depth and cache size) and the scheduler's
+// counters. Called once, right after the scheduler is built; a no-op
+// with telemetry disabled.
 func (t *tele) bindScheduler(s *scheduler) {
-	if t == nil {
+	if t.reg == nil {
 		return
 	}
 	for i, w := range s.workers {
@@ -215,92 +201,17 @@ func (t *tele) bindScheduler(s *scheduler) {
 			"Entries across the worker's warm-state cache tiers.",
 			telemetry.Labels("worker", strconv.Itoa(i)), w.cacheLen.Load)
 	}
-	t.reg.CounterFunc("jellyfishd_sched_deduped_total",
-		"Requests coalesced onto an identical in-flight execution.", "",
-		s.stats.deduped.Load)
-	t.reg.CounterFunc("jellyfishd_sync_rejected_total",
-		"Synchronous requests shed with 429 at the admission gate.", "",
-		s.stats.syncRejected.Load)
+	t.deduped = t.reg.Counter("jellyfishd_sched_deduped_total",
+		"Requests coalesced onto an identical in-flight execution.", "")
+	t.syncRejected = t.reg.Counter("jellyfishd_sync_rejected_total",
+		"Synchronous requests shed with 429 at the admission gate.", "")
 }
 
 // worker returns shard i's telemetry (an inert zero bundle when
 // telemetry is disabled, so worker code never branches on enablement).
 func (t *tele) worker(i int) *workerTele {
-	if t == nil {
+	if t.reg == nil {
 		return &workerTele{}
 	}
 	return t.workers[i]
-}
-
-// opDurH returns the duration histogram for one operation (nil when
-// telemetry is disabled or the op is unknown; nil histograms discard).
-func (t *tele) opDurH(op string) *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.opDur[op]
-}
-
-// queueWaitH returns the shard queue-wait histogram.
-func (t *tele) queueWaitH() *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.queueWait
-}
-
-// sse returns the SSE subscriber gauge.
-func (t *tele) sse() *telemetry.Gauge {
-	if t == nil {
-		return nil
-	}
-	return t.sseSubs
-}
-
-// panicsContained returns the recovered-kernel-panic counter.
-func (t *tele) panicsContained() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.panics
-}
-
-// degradedGauge returns the degraded-mode state gauge (1 = degraded).
-func (t *tele) degradedGauge() *telemetry.Gauge {
-	if t == nil {
-		return nil
-	}
-	return t.degradedState
-}
-
-// degradedTransitions returns the healthy→degraded transition counter.
-func (t *tele) degradedTransitions() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.degradedFlips
-}
-
-// quotaRejected returns the per-client quota rejection counter.
-func (t *tele) quotaRejected() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.quotaRejects
-}
-
-// replayH returns the job store replay-duration histogram.
-func (t *tele) replayH() *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.replayDur
-}
-
-// storeObs returns the persist-layer bundle to attach to the job store.
-func (t *tele) storeObs() *persist.Obs {
-	if t == nil {
-		return nil
-	}
-	return t.store
 }

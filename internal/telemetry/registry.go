@@ -94,7 +94,7 @@ func (r *Registry) Histogram(name, help, labels string) *Histogram {
 
 // CounterFunc registers a counter series backed by a read-out function
 // — the bridge for counts that already live in non-telemetry atomics
-// (the scheduler's stats struct). fn is called at scrape time and must
+// (the fault-injection fire count). fn is called at scrape time and must
 // be safe for concurrent use and monotone.
 func (r *Registry) CounterFunc(name, help, labels string, fn func() int64) {
 	r.metrics = append(r.metrics, metric{name: name, help: help, labels: labels, kind: counterKind, fn: fn})
