@@ -16,8 +16,10 @@ import (
 	"jellyfish/internal/experiments"
 	"jellyfish/internal/flowsim"
 	"jellyfish/internal/mcf"
+	"jellyfish/internal/packetsim"
 	"jellyfish/internal/rng"
 	"jellyfish/internal/routing"
+	"jellyfish/internal/topology"
 	"jellyfish/internal/traffic"
 )
 
@@ -290,6 +292,36 @@ func benchTransportKernel(b *testing.B, proto flowsim.Protocol) {
 
 func BenchmarkTransportKernelTCP8(b *testing.B)   { benchTransportKernel(b, flowsim.TCP8) }
 func BenchmarkTransportKernelMPTCP8(b *testing.B) { benchTransportKernel(b, flowsim.MPTCP8) }
+
+// ---- packet-kernel benchmark (compiled packetsim instance) ----
+//
+// Steady-state packetsim Simulate calls on one warmed Sim over the
+// ablation-packet-vs-fluid 120-server row at seed 1 (40 12-port switches
+// holding 3 servers each, permutation traffic, kSP-8 routes, coupled
+// MPTCP-8, horizon 6000): the event loop alone, with routing prebuilt.
+// allocs/op is budgeted at exactly 0 in BENCH_mcf.json's ci_budget (the
+// pin TestPacketZeroAllocs enforces). Coupled subflows draw nothing from
+// the stream, so every iteration repeats the ablation row exactly.
+func BenchmarkPacketKernelMPTCP8(b *testing.B) {
+	tsrc := rng.New(1).Split("ablation-pkt").Split("s120")
+	ports, servers := make([]int, 40), make([]int, 40)
+	for i := range ports {
+		ports[i], servers[i] = 12, 3
+	}
+	top := topology.JellyfishHeterogeneous(ports, servers, tsrc.Split("topo"))
+	pat := traffic.RandomPermutation(top.ServerSwitches(), tsrc.Split("traffic"))
+	table := routing.NewCompiled(top.Graph).KShortest(routing.PairsForPattern(pat), 8, 0)
+	sim := packetsim.NewSim(top.Graph.N(), top.NumServers())
+	cfg := packetsim.Config{Subflows: 8, Coupled: true, Horizon: 6000}
+	src := tsrc.Split("des")
+	res := sim.Simulate(pat.Flows, table, cfg, src) // warm the instance
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res = sim.Simulate(pat.Flows, table, cfg, src)
+	}
+	b.ReportMetric(res.Mean(), "mean_rate")
+}
 
 func BenchmarkConstructJellyfish(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -27,23 +27,33 @@
 // NIC needs to serialize one MSS. Goodput per flow is measured over the
 // second half of the run (the first half warms up).
 //
-// The event queue is a hand-inlined 4-ary heap of indices into a flat
-// event arena with a free-list — no container/heap boxing, no allocation
-// per event. Simultaneous events are ordered by injection sequence
-// (FIFO), making the event order — and so every result — a fully
-// specified function of the inputs. Like flowsim, the compiled Sim form
-// reuses all scratch across calls and runs the event loop at zero
+// The event queue is a timing wheel (a calendar queue, R. Brown, CACM
+// 31(10), 1988). A link accepts a packet only while its backlog is below
+// QueuePackets, so every event lands within QueuePackets + 1 +
+// PropDelay·(links+1) service times of the current time, and Simulate
+// sizes the wheel from that bound. An event's slot is floor(t·2^r),
+// monotone in t, and each slot stays sorted by time with ties in
+// injection order (FIFO) by inserting from its tail — usually a plain
+// append. Events therefore pop in (time, injection sequence) order,
+// making the event order — and so every result — a fully specified
+// function of the inputs. Like flowsim, the compiled Sim form reuses all
+// scratch across calls and runs the event loop at zero
 // steady-state allocations (TestPacketZeroAllocs pins it).
 package packetsim
 
 import (
+	"fmt"
+	"math"
+
 	"jellyfish/internal/resarena"
 	"jellyfish/internal/rng"
 	"jellyfish/internal/routing"
 	"jellyfish/internal/traffic"
 )
 
-// Config tunes the simulator. Zero values select defaults.
+// Config tunes the simulator. Zero values select defaults; Simulate
+// panics on a negative QueuePackets, Horizon or PropDelay, or a
+// non-finite Horizon or PropDelay.
 type Config struct {
 	// QueuePackets is the per-link FIFO capacity (default 64).
 	QueuePackets int
@@ -72,6 +82,17 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Subflows == 0 {
 		c.Subflows = 8
+	}
+	// The timing wheel relies on these: events never land in the past
+	// and never beyond a finite lookahead.
+	if c.QueuePackets < 1 {
+		panic(fmt.Sprintf("packetsim: Config.QueuePackets must be positive, got %d", c.QueuePackets))
+	}
+	if !(c.Horizon > 0) || math.IsInf(c.Horizon, 0) {
+		panic(fmt.Sprintf("packetsim: Config.Horizon must be positive and finite, got %v", c.Horizon))
+	}
+	if !(c.PropDelay >= 0) || math.IsInf(c.PropDelay, 0) {
+		panic(fmt.Sprintf("packetsim: Config.PropDelay must be non-negative and finite, got %v", c.PropDelay))
 	}
 	return c
 }
@@ -112,11 +133,10 @@ const (
 	evAck                  // ACK returns to the sender
 )
 
-// event is one arena slot. seq breaks time ties FIFO, fully specifying
-// the simulation order.
+// event is one pending simulation step. Time ties pop in injection
+// order, fully specifying the simulation order.
 type event struct {
 	t    float64
-	seq  uint64
 	sub  int32
 	hop  int32
 	kind evKind
@@ -143,10 +163,14 @@ type Sim struct {
 	subLinkIDs   []int32
 	flowSubStart []int32 // subflows of flow fi: [start[fi], start[fi+1])
 
-	events []event
-	free   []int32
-	heap   []heapEntry
-	seq    uint64
+	// The timing wheel (see the package comment). slots[k&mask] holds the
+	// pending events of absolute slot k = floor(t·scale) in pop order
+	// from ev[head]; cur is the absolute slot popping resumes from.
+	slots   []wheelSlot
+	mask    int
+	scale   float64
+	cur     int
+	pending int
 
 	cfg    Config
 	warmup float64
@@ -162,7 +186,7 @@ type Sim struct {
 	interrupt func() bool
 }
 
-// interruptStride is how many heap pops run between cancellation polls:
+// interruptStride is how many event pops run between cancellation polls:
 // frequent enough that a cancel lands in well under a millisecond of
 // simulated work, sparse enough to stay invisible in the event loop's
 // profile.
@@ -213,6 +237,7 @@ func (s *Sim) Simulate(flows []traffic.Flow, table *routing.Table, cfgIn Config,
 	s.flowSubStart = resarena.Grow(s.flowSubStart, len(flows)+1)
 	s.flowSubStart[0] = 0
 
+	maxLinks := 0
 	for fi := range flows {
 		f := &flows[fi]
 		if f.SrcSwitch == f.DstSwitch {
@@ -243,28 +268,27 @@ func (s *Sim) Simulate(flows []traffic.Flow, table *routing.Table, cfgIn Config,
 				flow: int32(fi), linkStart: start, linkEnd: int32(len(s.subLinkIDs)),
 				cwnd: 2, ssthresh: 32,
 			})
+			maxLinks = max(maxLinks, len(s.subLinkIDs)-int(start))
 		}
 		s.flowSubStart[fi+1] = int32(len(s.subs))
 	}
 
-	s.events = s.events[:0]
-	s.free = s.free[:0]
-	s.heap = s.heap[:0]
-	s.seq = 0
+	// serve accepts a packet only below QueuePackets of backlog, so no
+	// event lands further ahead than a full queue plus one service time
+	// plus the propagation delay of the longest path.
+	s.resetWheel(float64(s.cfg.QueuePackets) + 1 + s.cfg.PropDelay*float64(maxLinks+1))
 
 	for si := range s.subs {
 		s.inject(0, int32(si))
 	}
 
 	popped := 0
-	for len(s.heap) > 0 {
+	for s.pending > 0 {
 		if popped%interruptStride == 0 && s.interrupt != nil && s.interrupt() {
 			break // cancelled: partial goodputs, discarded by the caller
 		}
 		popped++
-		ei := s.pop()
-		ev := s.events[ei]
-		s.free = append(s.free, ei) //jellyvet:allow hotpath -- grows Sim-owned arena reused across calls; steady state is zero-alloc (TestPacketZeroAllocs)
+		ev := s.pop()
 		if ev.t > s.cfg.Horizon {
 			break
 		}
@@ -384,87 +408,85 @@ func (s *Sim) coupledIncrease(fi int32) float64 {
 	return 1 / wtot
 }
 
-// ---- event arena + 4-ary index heap ----
+// ---- timing wheel ----
 
-// heapEntry carries the ordering key (time, injection sequence) alongside
-// the arena index, so heap comparisons never chase pointers into the
-// arena — sifts stay within the contiguous heap array.
-type heapEntry struct {
-	t   float64
-	seq uint64
-	ei  int32
+const (
+	// wheelResolutionLog2 sets the slot width to 2^-5 service times:
+	// fine enough that a slot rarely holds out-of-order times, coarse
+	// enough that the cursor seldom crosses empty slots.
+	wheelResolutionLog2 = 5
+	// maxWheelSlots caps the slot table; a longer lookahead coarsens the
+	// resolution instead.
+	maxWheelSlots = 1 << 16
+)
+
+// wheelSlot holds one slot's pending events sorted by time, ties in
+// injection order; ev[:head] are already popped.
+type wheelSlot struct {
+	ev   []event
+	head int
 }
 
-func (a heapEntry) less(b heapEntry) bool {
-	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+// resetWheel empties the wheel and sizes it for events landing at most
+// lookahead service times after the current time. Slot indices are
+// floor(t·scale) with scale a power of two, so they are monotone in t;
+// with more slots than the lookahead spans, a physical slot never holds
+// two absolute slots' events at once. The resolution is coarsened until
+// the table fits maxWheelSlots.
+func (s *Sim) resetWheel(lookahead float64) {
+	s.scale = 1 << wheelResolutionLog2
+	for lookahead*s.scale+2 > maxWheelSlots {
+		s.scale /= 2
+	}
+	n := 1
+	for float64(n) < lookahead*s.scale+2 {
+		n *= 2
+	}
+	if n > len(s.slots) {
+		s.slots = append(s.slots, make([]wheelSlot, n-len(s.slots))...)
+	}
+	for i := range s.slots {
+		s.slots[i].ev = s.slots[i].ev[:0]
+		s.slots[i].head = 0
+	}
+	s.mask = n - 1
+	s.cur = 0
+	s.pending = 0
 }
 
-// push stores ev in a free arena slot (or a new one) and sifts its entry
-// up the heap.
+// push files ev in its slot after every pending event of the same or an
+// earlier time.
 //
 //jellyvet:hotpath
 func (s *Sim) push(ev event) {
-	ev.seq = s.seq
-	s.seq++
-	var ei int32
-	if n := len(s.free); n > 0 {
-		ei = s.free[n-1]
-		s.free = s.free[:n-1]
-		s.events[ei] = ev
-	} else {
-		ei = int32(len(s.events))
-		s.events = append(s.events, ev) //jellyvet:allow hotpath -- grows Sim-owned arena reused across calls; steady state is zero-alloc (TestPacketZeroAllocs)
+	sl := &s.slots[int(ev.t*s.scale)&s.mask]
+	sl.ev = append(sl.ev, ev) //jellyvet:allow hotpath -- grows a Sim-owned wheel slot reused across calls; steady state is zero-alloc (TestPacketZeroAllocs)
+	i := len(sl.ev) - 1
+	for i > sl.head && sl.ev[i-1].t > ev.t {
+		sl.ev[i] = sl.ev[i-1]
+		i--
 	}
-	e := heapEntry{t: ev.t, seq: ev.seq, ei: ei}
-	h := s.heap
-	i := len(h)
-	h = append(h, e) //jellyvet:allow hotpath -- grows Sim-owned arena reused across calls; steady state is zero-alloc (TestPacketZeroAllocs)
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.less(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = e
-	s.heap = h
+	sl.ev[i] = ev
+	s.pending++
 }
 
-// pop removes and returns the arena index of the earliest event. The
-// caller reads the slot and returns it to the free-list.
+// pop removes and returns the earliest pending event; the caller checks
+// that one exists.
 //
 //jellyvet:hotpath
-func (s *Sim) pop() int32 {
-	h := s.heap
-	top := h[0].ei
-	last := h[len(h)-1]
-	h = h[:len(h)-1]
-	if len(h) > 0 {
-		i := 0
-		for {
-			first := 4*i + 1
-			if first >= len(h) {
-				break
+func (s *Sim) pop() event {
+	for {
+		sl := &s.slots[s.cur&s.mask]
+		if sl.head < len(sl.ev) {
+			ev := sl.ev[sl.head]
+			sl.head++
+			if sl.head == len(sl.ev) {
+				sl.ev = sl.ev[:0]
+				sl.head = 0
 			}
-			best := first
-			end := first + 4
-			if end > len(h) {
-				end = len(h)
-			}
-			for c := first + 1; c < end; c++ {
-				if h[c].less(h[best]) {
-					best = c
-				}
-			}
-			if !h[best].less(last) {
-				break
-			}
-			h[i] = h[best]
-			i = best
+			s.pending--
+			return ev
 		}
-		h[i] = last
+		s.cur++
 	}
-	s.heap = h
-	return top
 }

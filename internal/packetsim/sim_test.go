@@ -1,8 +1,11 @@
 package packetsim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
+	"jellyfish/internal/graph"
 	"jellyfish/internal/rng"
 	"jellyfish/internal/routing"
 	"jellyfish/internal/topology"
@@ -57,9 +60,9 @@ func TestSimReuseMatchesOneShot(t *testing.T) {
 }
 
 // The event loop's zero-allocation pin: after warm-up, a full simulation
-// on a compiled instance — millions of heap operations — allocates
-// nothing. The event arena free-list and the index heap are what make
-// this hold; container/heap's interface boxing allocated per push.
+// on a compiled instance — millions of wheel operations — allocates
+// nothing. The wheel's slots keep their capacity across calls, which is
+// what makes this hold.
 func TestPacketZeroAllocs(t *testing.T) {
 	in := jellyfishInstance(15, 8, 5, 42)
 	sim := NewSim(15, len(in.flows))
@@ -74,30 +77,123 @@ func TestPacketZeroAllocs(t *testing.T) {
 	}
 }
 
-// The heap must be a strict priority queue under the documented
-// (time, sequence) order: drain a shuffled workload and check sorted
-// output with FIFO tie-breaks.
-func TestEventHeapOrdering(t *testing.T) {
-	s := &Sim{}
-	src := rng.New(9)
-	times := make([]float64, 500)
-	for i := range times {
-		times[i] = float64(src.Intn(40)) / 8 // force plenty of ties
-		s.push(event{t: times[i], sub: int32(i)})
+// The wheel must pop in exactly (time, injection sequence) order when
+// driven the way Simulate drives it: every push lands within the
+// lookahead of the last popped time, including at that very time. The
+// drive runs for dozens of revolutions and mixes exact ties, pushes onto
+// slot boundaries (multiples of the slot width) and pushes at the full
+// lookahead; a reference scan for the (time, sequence) minimum checks
+// every pop. The first lookahead spans one slot short of a power of two,
+// the tightest table the sizing rule builds; the second forces a
+// coarsened resolution.
+func TestEventWheelOrdering(t *testing.T) {
+	type key struct {
+		t   float64
+		seq int32
 	}
-	prevT, prevSeq := -1.0, uint64(0)
-	for i := 0; i < len(times); i++ {
-		ei := s.pop()
-		ev := s.events[ei]
-		if ev.t < prevT {
-			t.Fatalf("pop %d: time %v after %v", i, ev.t, prevT)
+	for _, lookahead := range []float64{16 - 1.0/32, 1 << 16} {
+		s := &Sim{}
+		s.resetWheel(lookahead)
+		width := 1 / s.scale
+		revolution := float64(s.mask+1) * width
+		src := rng.New(9)
+		var pending []key
+		var seq int32
+		push := func(at float64) {
+			s.push(event{t: at, sub: seq})
+			pending = append(pending, key{at, seq})
+			seq++
 		}
-		if ev.t == prevT && ev.seq < prevSeq {
-			t.Fatalf("pop %d: tie broken against injection order (seq %d after %d)", i, ev.seq, prevSeq)
+		for i := 0; i < 8; i++ {
+			push(0)
 		}
-		prevT, prevSeq = ev.t, ev.seq
+		now := 0.0
+		for pops := 0; now < 40*revolution; pops++ {
+			if s.pending != len(pending) {
+				t.Fatalf("lookahead %v pop %d: wheel holds %d events, want %d", lookahead, pops, s.pending, len(pending))
+			}
+			best := 0
+			for j, k := range pending {
+				if k.t < pending[best].t || (k.t == pending[best].t && k.seq < pending[best].seq) {
+					best = j
+				}
+			}
+			want := pending[best]
+			pending = append(pending[:best], pending[best+1:]...)
+			ev := s.pop()
+			if ev.t != want.t || ev.sub != want.seq {
+				t.Fatalf("lookahead %v pop %d: got (t=%v, seq=%d), want (t=%v, seq=%d)",
+					lookahead, pops, ev.t, ev.sub, want.t, want.seq)
+			}
+			now = ev.t
+			n := src.Intn(3)
+			if len(pending) < 32 {
+				n = 2
+			}
+			for ; n > 0; n-- {
+				switch src.Intn(5) {
+				case 0:
+					push(now) // tie with the event just popped
+				case 1:
+					push(pending[src.Intn(len(pending))].t) // tie with a pending event
+				case 2:
+					// An exact slot boundary k/2^r ahead of now.
+					k := math.Floor(now/width) + 1 + float64(src.Intn(int(lookahead/width)))
+					push(math.Min(k*width, now+lookahead))
+				case 3:
+					push(now + lookahead)
+				default:
+					push(now + src.Float64()*lookahead)
+				}
+			}
+		}
+		if s.cur <= 40*s.mask {
+			t.Fatalf("lookahead %v: cursor reached slot %d, want 40+ revolutions of %d", lookahead, s.cur, s.mask+1)
+		}
 	}
-	if len(s.heap) != 0 {
-		t.Fatalf("%d events left in heap", len(s.heap))
+}
+
+// Config values the wheel cannot honor — events scheduled into the past
+// or beyond any finite lookahead — panic with the offending field's name
+// instead of corrupting the event order.
+func TestConfigRejectsInvalid(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"QueuePackets", Config{QueuePackets: -1}},
+		{"Horizon", Config{Horizon: -5}},
+		{"Horizon", Config{Horizon: math.Inf(1)}},
+		{"Horizon", Config{Horizon: math.NaN()}},
+		{"PropDelay", Config{PropDelay: -0.1}},
+		{"PropDelay", Config{PropDelay: math.Inf(1)}},
+		{"PropDelay", Config{PropDelay: math.NaN()}},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Config."+tc.field) {
+					t.Errorf("%+v: panic %q, want one naming Config.%s", tc.cfg, msg, tc.field)
+				}
+			}()
+			tc.cfg.withDefaults() // Simulate's first step
+		}()
+	}
+}
+
+// A huge queue means a huge lookahead: the wheel coarsens its resolution
+// rather than allocate a slot table to match, and the simulation still
+// runs correctly.
+func TestWheelCapsSlotTable(t *testing.T) {
+	g := graph.New(2)
+	g.AddEdge(0, 1)
+	flows := []traffic.Flow{{SrcServer: 0, DstServer: 1, SrcSwitch: 0, DstSwitch: 1}}
+	sim := NewSim(2, 2)
+	res := sim.Simulate(flows, tableFor(g, flows, false), Config{Subflows: 1, QueuePackets: 1 << 16}, rng.New(1))
+	if len(sim.slots) > maxWheelSlots {
+		t.Fatalf("slot table has %d slots, cap is %d", len(sim.slots), maxWheelSlots)
+	}
+	if res.FlowGoodput[0] < 0.85 {
+		t.Fatalf("single flow goodput = %v with a huge queue, want near line rate", res.FlowGoodput[0])
 	}
 }
