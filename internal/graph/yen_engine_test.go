@@ -126,31 +126,153 @@ func randomConnectedGraph(n, extraEdges int, r *rand.Rand) *Graph {
 	return g
 }
 
-// The engine's whole value proposition is scratch reuse without
-// observable effect: one engine driven across many pairs, many k values,
-// and interleaved sparse/dense graphs must reproduce the reference
-// algorithm byte for byte.
-func TestKSPEngineMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 6; trial++ {
-		n := 8 + r.Intn(25)
-		g := randomConnectedGraph(n, n+r.Intn(3*n), r)
-		eng := NewKSPEngine(g)
-		for pair := 0; pair < 40; pair++ {
-			src, dst := r.Intn(n), r.Intn(n)
-			k := 1 + r.Intn(10)
-			want := kShortestPathsReference(g, src, dst, k)
-			got := eng.Paths(src, dst, k)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d %d->%d k=%d: %d paths, want %d", n, src, dst, k, len(got), len(want))
-			}
-			for i := range got {
-				if !got[i].Equal(want[i]) {
-					t.Fatalf("n=%d %d->%d k=%d: path %d = %v, want %v", n, src, dst, k, i, got[i], want[i])
-				}
+// checkEngineAgainstReference drives one engine across pairs (each with
+// its own k) on g and requires the reference algorithm's paths, byte for
+// byte and in order.
+func checkEngineAgainstReference(t *testing.T, g *Graph, pairs [][3]int) {
+	t.Helper()
+	eng := NewKSPEngine(g)
+	for _, p := range pairs {
+		src, dst, k := p[0], p[1], p[2]
+		want := kShortestPathsReference(g, src, dst, k)
+		got := eng.Paths(src, dst, k)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d %d->%d k=%d: %d paths, want %d", g.N(), src, dst, k, len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("n=%d %d->%d k=%d: path %d = %v, want %v", g.N(), src, dst, k, i, got[i], want[i])
 			}
 		}
 	}
+}
+
+// randomPairs draws count (src, dst, k) triples with k in [1, maxK].
+func randomPairs(n, count, maxK int, r *rand.Rand) [][3]int {
+	pairs := make([][3]int, count)
+	for i := range pairs {
+		pairs[i] = [3]int{r.Intn(n), r.Intn(n), 1 + r.Intn(maxK)}
+	}
+	return pairs
+}
+
+func gridGraph(rows, cols int) *Graph {
+	g := New(rows * cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c+1 < cols {
+				g.AddEdge(r*cols+c, r*cols+c+1)
+			}
+			if r+1 < rows {
+				g.AddEdge(r*cols+c, (r+1)*cols+c)
+			}
+		}
+	}
+	return g
+}
+
+func completeBipartiteGraph(a, b int) *Graph {
+	g := New(a + b)
+	for u := 0; u < a; u++ {
+		for v := a; v < a+b; v++ {
+			g.AddEdge(u, v)
+		}
+	}
+	return g
+}
+
+func hypercubeGraph(dim int) *Graph {
+	g := New(1 << dim)
+	for u := 0; u < 1<<dim; u++ {
+		for b := 0; b < dim; b++ {
+			if v := u ^ 1<<b; u < v {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	return g
+}
+
+// randomRegularGraph pairs n*d shuffled port stubs (the configuration
+// model), dropping self-loops and repeated edges: near-regular of degree
+// d, like a jellyfish switch graph.
+func randomRegularGraph(n, d int, r *rand.Rand) *Graph {
+	stubs := make([]int, 0, n*d)
+	for v := 0; v < n; v++ {
+		for i := 0; i < d; i++ {
+			stubs = append(stubs, v)
+		}
+	}
+	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+	g := New(n)
+	for i := 0; i+1 < len(stubs); i += 2 {
+		if stubs[i] != stubs[i+1] {
+			g.AddEdge(stubs[i], stubs[i+1])
+		}
+	}
+	return g
+}
+
+// The engine's whole value proposition is scratch reuse without
+// observable effect: one engine driven across many pairs, many k values,
+// and interleaved sparse/dense graphs must reproduce the reference
+// algorithm byte for byte. The generated families reach every exit of
+// the bidirectional spur search: a frontier running out (disconnected
+// pairs, bridges cut by the root mask), both frontiers running deep
+// (rings, grids), equal-length ties settled by the lexicographic rule
+// (complete bipartite graphs, hypercubes, grids), and the Table 1 /
+// Fig. 11 scale (245 switches of network degree 11).
+func TestKSPEngineMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	t.Run("random", func(t *testing.T) {
+		for trial := 0; trial < 6; trial++ {
+			n := 8 + r.Intn(25)
+			g := randomConnectedGraph(n, n+r.Intn(3*n), r)
+			checkEngineAgainstReference(t, g, randomPairs(n, 40, 10, r))
+		}
+	})
+	t.Run("disconnected", func(t *testing.T) {
+		// Two sparse components (trees plus a few chords, so Yen's root
+		// masks often cut the spur node off) and an isolated vertex.
+		for trial := 0; trial < 6; trial++ {
+			a, b := 6+r.Intn(12), 6+r.Intn(12)
+			g := New(a + b + 1)
+			for _, part := range []struct{ off, n int }{{0, a}, {a, b}} {
+				c := randomConnectedGraph(part.n, r.Intn(part.n/2), r)
+				for _, e := range c.Edges() {
+					g.AddEdge(part.off+e.U, part.off+e.V)
+				}
+			}
+			checkEngineAgainstReference(t, g, randomPairs(g.N(), 60, 16, r))
+		}
+	})
+	t.Run("ring", func(t *testing.T) {
+		for _, n := range []int{3, 4, 5, 8, 13, 32} {
+			checkEngineAgainstReference(t, ringGraph(n), randomPairs(n, 30, 16, r))
+		}
+	})
+	t.Run("grid", func(t *testing.T) {
+		for _, rc := range [][2]int{{1, 6}, {2, 2}, {3, 5}, {4, 4}, {6, 9}, {10, 10}} {
+			g := gridGraph(rc[0], rc[1])
+			checkEngineAgainstReference(t, g, randomPairs(g.N(), 60, 16, r))
+		}
+	})
+	t.Run("bipartite", func(t *testing.T) {
+		for _, ab := range [][2]int{{1, 4}, {2, 3}, {3, 3}, {5, 7}, {4, 9}} {
+			g := completeBipartiteGraph(ab[0], ab[1])
+			checkEngineAgainstReference(t, g, randomPairs(g.N(), 60, 16, r))
+		}
+	})
+	t.Run("hypercube", func(t *testing.T) {
+		for dim := 1; dim <= 6; dim++ {
+			g := hypercubeGraph(dim)
+			checkEngineAgainstReference(t, g, randomPairs(g.N(), 60, 16, r))
+		}
+	})
+	t.Run("rrg245", func(t *testing.T) {
+		g := randomRegularGraph(245, 11, r)
+		checkEngineAgainstReference(t, g, randomPairs(g.N(), 120, 16, r))
+	})
 }
 
 // One-shot KShortestPaths delegates to the engine; pin the delegation on
