@@ -323,6 +323,35 @@ func BenchmarkPacketKernelMPTCP8(b *testing.B) {
 	b.ReportMetric(res.Mean(), "mean_rate")
 }
 
+// ---- routing-kernel benchmark (k-shortest paths) ----
+//
+// One fresh routing.Compiled per op computing 8-shortest paths for every
+// pair of a random permutation on Table 1's jellyfish at seed 1 (245
+// 14-port switches, 780 servers spread as Table 1 spreads them), on one
+// worker: Yen's spur searches alone, with no memo carried between ops.
+// allocs/op is budgeted in BENCH_mcf.json's ci_budget; the allocations
+// are the candidate paths Yen builds and the table around them, so the
+// count is a property of the instance, not the machine.
+func BenchmarkRoutingKernelKSP8(b *testing.B) {
+	tsrc := rng.New(1).Split("table1")
+	ports, servers := make([]int, 245), make([]int, 245)
+	for i := range ports {
+		ports[i], servers[i] = 14, 780/245
+		if i < 780%245 {
+			servers[i]++
+		}
+	}
+	top := topology.JellyfishHeterogeneous(ports, servers, tsrc.Split("jf"))
+	pairs := routing.PairsForPattern(traffic.RandomPermutation(top.ServerSwitches(), tsrc.Split("traffic")))
+	var table *routing.Table
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		table = routing.NewCompiled(top.Graph).KShortest(pairs, 8, 1)
+	}
+	b.ReportMetric(float64(len(table.Paths)), "pairs")
+}
+
 func BenchmarkConstructJellyfish(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		New(Config{Switches: 245, Ports: 14, NetworkDegree: 11, Seed: uint64(i)})

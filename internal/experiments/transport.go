@@ -244,8 +244,9 @@ func Fig10SimVsOptimal(opt Options) *Table {
 // one at s. The warm assets carried across the binary-search sequence are
 // the per-worker compiled simulator instances (arena + scratch survive
 // probe-to-probe) and, within each probe, one compiled routing instance
-// shared by all trials; the family's O(1)-links-per-server growth means
-// adjacent probes re-derive only the paths the rewiring touched.
+// shared by all trials. Routing is not carried across probes: each probe
+// compiles a fresh routing instance for its topology, so every probe
+// recomputes the k-shortest paths of all its pairs.
 func packetLevelMaxServers(k int, trials int, src *rng.Source, workers int) (ftServers, jfServers int, ftTp float64) {
 	ft := topology.FatTree(k)
 	ftServers = ft.NumServers()

@@ -1,7 +1,5 @@
 package graph
 
-import "container/heap"
-
 // A Path is a loopless vertex sequence from Path[0] to Path[len-1].
 type Path []int
 
@@ -65,64 +63,4 @@ func lessPath(a, b Path) bool {
 		}
 	}
 	return false
-}
-
-// ---- Weighted Dijkstra (used by flow algorithms over derived weights) ----
-
-// DijkstraWeights computes single-source shortest path distances where the
-// weight of edge {u,v} is given by w (must be >= 0). It returns the distance
-// slice and a parent slice for path extraction; unreachable vertices have
-// distance +Inf encoded as -1 parent and dist math.MaxFloat64 is avoided by
-// the caller checking parent.
-func (g *Graph) DijkstraWeights(src int, w func(u, v int) float64) (dist []float64, parent []int) {
-	n := g.N()
-	dist = make([]float64, n)
-	parent = make([]int, n)
-	visited := make([]bool, n)
-	const inf = 1e308
-	for i := range dist {
-		dist[i] = inf
-		parent[i] = -1
-	}
-	dist[src] = 0
-	pq := &floatHeap{items: []heapItem{{node: src, prio: 0}}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
-		u := it.node
-		if visited[u] {
-			continue
-		}
-		visited[u] = true
-		for _, v := range g.adj[u] {
-			if visited[v] {
-				continue
-			}
-			nd := dist[u] + w(u, v)
-			if nd < dist[v] {
-				dist[v] = nd
-				parent[v] = u
-				heap.Push(pq, heapItem{node: v, prio: nd})
-			}
-		}
-	}
-	return dist, parent
-}
-
-type heapItem struct {
-	node int
-	prio float64
-}
-
-type floatHeap struct{ items []heapItem }
-
-func (h *floatHeap) Len() int           { return len(h.items) }
-func (h *floatHeap) Less(i, j int) bool { return h.items[i].prio < h.items[j].prio }
-func (h *floatHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *floatHeap) Push(x interface{}) { h.items = append(h.items, x.(heapItem)) }
-func (h *floatHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }

@@ -140,51 +140,3 @@ func TestKShortestRingCount(t *testing.T) {
 		t.Fatalf("ring path lengths = %d, %d", ps[0].Len(), ps[1].Len())
 	}
 }
-
-func TestDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + r.Intn(25)
-		g := New(n)
-		for i := 0; i < 3*n; i++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if u != v {
-				g.AddEdge(u, v)
-			}
-		}
-		bfs := g.BFS(0)
-		dist, parent := g.DijkstraWeights(0, func(u, v int) float64 { return 1 })
-		for v := 0; v < n; v++ {
-			if bfs[v] == Unreachable {
-				if parent[v] != -1 && v != 0 {
-					t.Fatalf("dijkstra reached unreachable %d", v)
-				}
-				continue
-			}
-			if int(dist[v]) != bfs[v] {
-				t.Fatalf("dijkstra dist %v != bfs %d at %d", dist[v], bfs[v], v)
-			}
-		}
-	}
-}
-
-func TestDijkstraWeighted(t *testing.T) {
-	// Triangle where the direct edge is heavy.
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 2)
-	w := func(u, v int) float64 {
-		if Canon(u, v) == (Edge{0, 2}) {
-			return 10
-		}
-		return 1
-	}
-	dist, parent := g.DijkstraWeights(0, w)
-	if dist[2] != 2 {
-		t.Fatalf("dist[2] = %v, want 2 (via vertex 1)", dist[2])
-	}
-	if parent[2] != 1 {
-		t.Fatalf("parent[2] = %d, want 1", parent[2])
-	}
-}
