@@ -37,15 +37,6 @@ func RRGNormalizedBisection(n, k, r int) float64 {
 	return RRGCrossingLowerBound(n, r) / servers
 }
 
-// FatTreeNormalizedBisection returns 1: the 3-level fat-tree is a
-// full-bisection-bandwidth network (k³/8 crossing links for k³/8 servers
-// per side).
-func FatTreeNormalizedBisection(k int) float64 { return 1 }
-
-// FatTreeCrossing returns the fat-tree's bisection crossing-link count,
-// k³/8.
-func FatTreeCrossing(k int) float64 { return float64(k*k*k) / 8 }
-
 // MaxServersAtFullBisection returns the largest number of servers a
 // Jellyfish built from n switches of k ports can support at normalized
 // bisection bandwidth ≥ 1, by scanning the server-per-switch split. The

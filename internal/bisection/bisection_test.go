@@ -38,15 +38,6 @@ func TestRRGNormalizedBisectionApproachesHalfLinks(t *testing.T) {
 	}
 }
 
-func TestFatTreeForms(t *testing.T) {
-	if FatTreeNormalizedBisection(48) != 1 {
-		t.Fatal("fat-tree normalized bisection must be 1")
-	}
-	if FatTreeCrossing(4) != 8 {
-		t.Fatalf("fat-tree crossing(4) = %v, want 8", FatTreeCrossing(4))
-	}
-}
-
 // Paper Fig. 2(a) headline: with the same equipment as a 16,000-server
 // fat-tree, Jellyfish supports >20,000 servers at full bisection.
 func TestJellyfishBeatsFatTreeAtFullBisection(t *testing.T) {

@@ -186,7 +186,7 @@ func TestScaleSmoke(t *testing.T) {
 	if compact.NumSwitches() != n || compact.NumServers() != n*(k-r) {
 		t.Fatalf("compact dims: %d switches %d servers", compact.NumSwitches(), compact.NumServers())
 	}
-	t.Logf("construction+traffic %v (%d commodities, %d links)", time.Since(start), len(comms), compact.NumLinks())
+	t.Logf("construction+traffic %v (%d commodities, %d links)", time.Since(start), len(comms), compact.CSR.M())
 
 	for _, est := range allKinds(t, 0, 5) {
 		estStart := time.Now()

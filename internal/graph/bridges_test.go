@@ -48,8 +48,8 @@ func TestBridgesDisconnected(t *testing.T) {
 	}
 }
 
-// Property: an edge is a bridge iff removing it increases the component
-// count — verified against brute force on random graphs.
+// Property: an edge is a bridge iff removing it disconnects its
+// endpoints — verified against brute force on random graphs.
 func TestBridgesMatchBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
@@ -65,10 +65,9 @@ func TestBridgesMatchBruteForce(t *testing.T) {
 		for _, b := range g.Bridges() {
 			got[b] = true
 		}
-		base := len(g.Components())
 		for _, e := range g.Edges() {
 			g.RemoveEdge(e.U, e.V)
-			isBridge := len(g.Components()) > base
+			isBridge := g.BFS(e.U)[e.V] == Unreachable
 			g.AddEdge(e.U, e.V)
 			if got[e] != isBridge {
 				t.Fatalf("trial %d edge %v: tarjan=%v brute=%v", trial, e, got[e], isBridge)

@@ -44,24 +44,6 @@ func (c *CSR) Neighbors(u int) []int32 { return c.Nbrs[c.Offsets[u]:c.Offsets[u+
 // is shared by every caller of the snapshot and must not be modified.
 func (c *CSR) Edges() []Edge { return c.edges }
 
-// BFSInto computes unweighted shortest-path hop counts from src over the
-// snapshot, reusing the caller's buffers: dist must have length N and be
-// pre-filled with Unreachable, queue must have capacity for N entries.
-func (c *CSR) BFSInto(src int32, dist []int32, queue []int32) {
-	dist[src] = 0
-	queue = append(queue[:0], src)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u] + 1
-		for _, v := range c.Nbrs[c.Offsets[u]:c.Offsets[u+1]] {
-			if dist[v] == Unreachable {
-				dist[v] = du
-				queue = append(queue, v)
-			}
-		}
-	}
-}
-
 // csrSnap pairs a built snapshot with the graph version it reflects.
 type csrSnap struct {
 	version uint64

@@ -128,23 +128,3 @@ func TestCSRSnapshotCachingAndInvalidation(t *testing.T) {
 		t.Fatalf("old snapshot mutated: n=%d m=%d", c1.N(), c1.M())
 	}
 }
-
-func TestCSRBFSIntoMatchesBFS(t *testing.T) {
-	src := rng.New(3)
-	g := randomTestGraph(50, 4, src)
-	c := g.CSR()
-	dist := make([]int32, c.N())
-	queue := make([]int32, 0, c.N())
-	for s := 0; s < 5; s++ {
-		want := g.BFS(s)
-		for i := range dist {
-			dist[i] = Unreachable
-		}
-		c.BFSInto(int32(s), dist, queue)
-		for v := range want {
-			if int(dist[v]) != want[v] {
-				t.Fatalf("src %d vertex %d: dist %d, want %d", s, v, dist[v], want[v])
-			}
-		}
-	}
-}

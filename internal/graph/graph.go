@@ -155,38 +155,6 @@ func (g *Graph) Connected() bool {
 	return g.componentSize(0) == n
 }
 
-// Components returns the vertex sets of the connected components, each
-// sorted, ordered by smallest member.
-func (g *Graph) Components() [][]int {
-	n := g.N()
-	seen := make([]bool, n)
-	var comps [][]int
-	queue := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		if seen[s] {
-			continue
-		}
-		queue = queue[:0]
-		queue = append(queue, s)
-		seen[s] = true
-		var comp []int
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for _, v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 func (g *Graph) componentSize(s int) int {
 	seen := make([]bool, g.N())
 	queue := []int{s}
@@ -204,31 +172,6 @@ func (g *Graph) componentSize(s int) int {
 		}
 	}
 	return count
-}
-
-// MinDegree returns the minimum vertex degree (0 for the empty graph).
-func (g *Graph) MinDegree() int {
-	if g.N() == 0 {
-		return 0
-	}
-	min := len(g.adj[0])
-	for _, ns := range g.adj[1:] {
-		if len(ns) < min {
-			min = len(ns)
-		}
-	}
-	return min
-}
-
-// MaxDegree returns the maximum vertex degree.
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, ns := range g.adj {
-		if len(ns) > max {
-			max = len(ns)
-		}
-	}
-	return max
 }
 
 // IsRegular reports whether every vertex has degree r.

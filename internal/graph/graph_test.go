@@ -165,20 +165,6 @@ func TestAddVertex(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("got %d components, want 3", len(comps))
-	}
-	if len(comps[0]) != 3 || len(comps[1]) != 2 || len(comps[2]) != 1 {
-		t.Fatalf("component sizes = %d,%d,%d", len(comps[0]), len(comps[1]), len(comps[2]))
-	}
-}
-
 func TestConnectedPathGraph(t *testing.T) {
 	g := New(10)
 	for i := 0; i < 9; i++ {
@@ -198,11 +184,11 @@ func TestDegreeExtremes(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	g.AddEdge(0, 3)
-	if g.MaxDegree() != 3 || g.MinDegree() != 1 {
-		t.Fatalf("max=%d min=%d, want 3, 1", g.MaxDegree(), g.MinDegree())
+	if g.Degree(0) != 3 || g.Degree(3) != 1 {
+		t.Fatalf("hub=%d leaf=%d, want 3, 1", g.Degree(0), g.Degree(3))
 	}
-	if New(2).MinDegree() != 0 {
-		t.Fatal("isolated-vertex graph should have min degree 0")
+	if New(2).Degree(1) != 0 {
+		t.Fatal("isolated vertex should have degree 0")
 	}
 	if g.IsRegular(1) {
 		t.Fatal("star graph reported regular")
@@ -251,26 +237,6 @@ func TestBFSUnreachable(t *testing.T) {
 	}
 }
 
-func TestShortestPathEndpoints(t *testing.T) {
-	g := ringGraph(6)
-	p := g.ShortestPath(0, 3)
-	if len(p) != 4 || p[0] != 0 || p[3] != 3 {
-		t.Fatalf("path = %v", p)
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasEdge(p[i], p[i+1]) {
-			t.Fatalf("path uses missing edge %d-%d", p[i], p[i+1])
-		}
-	}
-	if got := g.ShortestPath(2, 2); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("trivial path = %v", got)
-	}
-	g2 := New(2)
-	if g2.ShortestPath(0, 1) != nil {
-		t.Fatal("path found in disconnected graph")
-	}
-}
-
 func TestAllPairsStatsComplete(t *testing.T) {
 	g := completeGraph(5)
 	s := g.AllPairsStats()
@@ -311,13 +277,11 @@ func TestPairsStatsSubset(t *testing.T) {
 func TestPathStatsPercentileAndCDF(t *testing.T) {
 	g := ringGraph(6)
 	s := g.AllPairsStats()
-	if p := s.Percentile(0.4); p != 1 {
-		t.Fatalf("P40 = %d, want 1", p)
-	}
-	if p := s.Percentile(1.0); p != 3 {
-		t.Fatalf("P100 = %d, want 3", p)
-	}
 	cdf := s.CDF()
+	// P40 is distance 1: 12 of the 30 ordered pairs are adjacent.
+	if cdf[1] != 0.4 {
+		t.Fatalf("CDF[1] = %v, want 0.4", cdf[1])
+	}
 	if cdf[3] != 1.0 {
 		t.Fatalf("CDF[diam] = %v, want 1", cdf[3])
 	}
@@ -334,17 +298,20 @@ func TestDiameterAndEccentricity(t *testing.T) {
 	if g.Diameter() != 4 {
 		t.Fatalf("diameter = %d, want 4", g.Diameter())
 	}
-	if g.Eccentricity(2) != 2 {
-		t.Fatalf("ecc(2) = %d, want 2", g.Eccentricity(2))
-	}
-	if g.Eccentricity(0) != 4 {
-		t.Fatalf("ecc(0) = %d, want 4", g.Eccentricity(0))
+	for v, want := range map[int]int{2: 2, 0: 4} {
+		ecc := 0
+		for _, d := range g.BFS(v) {
+			ecc = max(ecc, d)
+		}
+		if ecc != want {
+			t.Fatalf("ecc(%d) = %d, want %d", v, ecc, want)
+		}
 	}
 }
 
 // Property: on random graphs, BFS distances satisfy the triangle-ish
-// property dist(v) <= dist(u)+1 for every edge {u,v}, and ShortestPath
-// length equals the BFS distance.
+// property dist(v) <= dist(u)+1 for every edge {u,v}, and the first
+// k-shortest path's length equals the BFS distance.
 func TestBFSPropertyRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
@@ -368,16 +335,17 @@ func TestBFSPropertyRandom(t *testing.T) {
 				t.Fatalf("edge spans reachable/unreachable: %v", e)
 			}
 		}
+		ksp := NewKSPEngine(g)
 		for v := 1; v < n; v++ {
-			p := g.ShortestPath(0, v)
+			ps := ksp.Paths(0, v, 1)
 			if d[v] == Unreachable {
-				if p != nil {
+				if ps != nil {
 					t.Fatalf("path to unreachable %d", v)
 				}
 				continue
 			}
-			if len(p)-1 != d[v] {
-				t.Fatalf("path len %d != BFS dist %d", len(p)-1, d[v])
+			if len(ps[0])-1 != d[v] {
+				t.Fatalf("path len %d != BFS dist %d", len(ps[0])-1, d[v])
 			}
 		}
 	}

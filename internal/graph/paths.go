@@ -1,7 +1,5 @@
 package graph
 
-import "math"
-
 // Unreachable is the distance reported by BFS for vertices not reachable
 // from the source.
 const Unreachable = -1
@@ -35,31 +33,6 @@ func (g *Graph) bfsInto(src int, dist []int, queue []int) {
 	}
 }
 
-// ShortestPath returns one shortest path from src to dst as a vertex
-// sequence including both endpoints, or nil if dst is unreachable.
-func (g *Graph) ShortestPath(src, dst int) []int {
-	if src == dst {
-		return []int{src}
-	}
-	dist := g.BFS(src)
-	if dist[dst] == Unreachable {
-		return nil
-	}
-	path := make([]int, dist[dst]+1)
-	path[len(path)-1] = dst
-	cur := dst
-	for i := len(path) - 2; i >= 0; i-- {
-		for _, v := range g.adj[cur] {
-			if dist[v] == dist[cur]-1 {
-				cur = v
-				break
-			}
-		}
-		path[i] = cur
-	}
-	return path
-}
-
 // PathStats summarizes the all-pairs shortest path structure of a graph.
 type PathStats struct {
 	Mean      float64 // mean distance over ordered reachable pairs (u != v)
@@ -67,23 +40,6 @@ type PathStats struct {
 	Hist      []int64 // Hist[d] = number of ordered pairs at distance d (d >= 1)
 	Pairs     int64   // number of ordered reachable pairs
 	Connected bool    // whether all ordered pairs were reachable
-}
-
-// Percentile returns the smallest distance d such that at least frac
-// (0 < frac <= 1) of ordered pairs are within distance d.
-func (s PathStats) Percentile(frac float64) int {
-	if s.Pairs == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(frac * float64(s.Pairs)))
-	var cum int64
-	for d := 1; d < len(s.Hist); d++ {
-		cum += s.Hist[d]
-		if cum >= target {
-			return d
-		}
-	}
-	return s.Diameter
 }
 
 // CDF returns the cumulative fraction of ordered pairs within each distance
@@ -175,18 +131,6 @@ func (g *Graph) PairsStatsInto(subset []int, sc *PairsScratch) PathStats {
 	}
 	sc.hist = stats.Hist // keep any growth for the next call
 	return stats
-}
-
-// Eccentricity returns the maximum finite BFS distance from src.
-func (g *Graph) Eccentricity(src int) int {
-	dist := g.BFS(src)
-	ecc := 0
-	for _, d := range dist {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
 }
 
 // Diameter returns the maximum eccentricity over all vertices

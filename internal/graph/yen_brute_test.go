@@ -50,7 +50,7 @@ func TestKShortestMatchesBruteForce(t *testing.T) {
 		src, dst := 0, n-1
 		want := bruteLooplessPaths(g, src, dst)
 		for _, k := range []int{1, 2, 3, 5, 100} {
-			got := g.KShortestPaths(src, dst, k)
+			got := NewKSPEngine(g).Paths(src, dst, k)
 			expect := len(want)
 			if k < expect {
 				expect = k

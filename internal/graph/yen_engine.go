@@ -5,10 +5,11 @@ import "slices"
 // A KSPEngine computes loopless k-shortest paths with reusable flat
 // scratch: epoch-stamped visited/mask arrays, preallocated frontier
 // queues, and a compact masked-edge list replace the per-call maps and
-// slices of the one-shot algorithm. Results are bit-identical to
-// Graph.KShortestPaths (which delegates here); only the wall-clock and
-// allocation profile differ. The returned paths are freshly allocated and
-// owned by the caller; everything else is engine scratch.
+// slices of the textbook algorithm. Results are bit-identical to the
+// reference Yen that TestKSPEngineMatchesReference keeps; only the
+// wall-clock and allocation profile differ. The returned paths are
+// freshly allocated and owned by the caller; everything else is engine
+// scratch.
 //
 // An engine is bound to one graph and is NOT safe for concurrent use —
 // give each worker goroutine its own (routing.Compiled does exactly
@@ -82,8 +83,10 @@ func (e *KSPEngine) ensure() {
 }
 
 // Paths returns up to k loopless shortest src→dst paths in nondecreasing
-// hop-count order with lexicographic tie-breaks — the same contract, and
-// the same bytes, as Graph.KShortestPaths.
+// hop-count order, using Yen's ranking algorithm [Yen 1971] with a BFS
+// inner search on the unweighted graph. Ties break by lexicographic
+// vertex order, so results are reproducible. It returns nil if dst is
+// unreachable.
 func (e *KSPEngine) Paths(src, dst, k int) []Path {
 	if k <= 0 {
 		return nil
@@ -186,7 +189,7 @@ func (e *KSPEngine) nbrMasked(v int) bool {
 
 // bfs finds the lexicographically smallest shortest src→dst path under
 // the current epoch's masks — the path FIFO BFS over sorted adjacency
-// returns, and so the one-shot maskedShortestPath's rule — or nil if the
+// returns, and so the reference refMaskedShortestPath's rule — or nil if the
 // masks cut dst off. The path is a view of engine scratch, valid until
 // the next search. On the first path of a pair the epoch is fresh, so no
 // mask applies.

@@ -275,15 +275,14 @@ func TestKSPEngineMatchesReference(t *testing.T) {
 	})
 }
 
-// One-shot KShortestPaths delegates to the engine; pin the delegation on
-// a disconnected pair and the trivial same-node pair.
+// Edge cases: a disconnected pair, the trivial same-node pair and k = 0.
 func TestKSPEngineEdgeCases(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1)
-	if got := g.KShortestPaths(0, 3, 4); got != nil {
+	eng := NewKSPEngine(g)
+	if got := eng.Paths(0, 3, 4); got != nil {
 		t.Fatalf("disconnected pair returned %v", got)
 	}
-	eng := NewKSPEngine(g)
 	if got := eng.Paths(2, 2, 3); len(got) != 1 || !got[0].Equal(Path{2}) {
 		t.Fatalf("self pair returned %v", got)
 	}

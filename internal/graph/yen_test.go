@@ -20,12 +20,12 @@ func diamondGraph() *Graph {
 
 func TestKShortestDiamond(t *testing.T) {
 	g := diamondGraph()
-	ps := g.KShortestPaths(0, 3, 4)
+	ps := NewKSPEngine(g).Paths(0, 3, 4)
 	if len(ps) != 3 {
 		t.Fatalf("got %d paths, want 3: %v", len(ps), ps)
 	}
-	if ps[0].Len() != 2 || ps[1].Len() != 2 || ps[2].Len() != 3 {
-		t.Fatalf("path lengths = %d,%d,%d, want 2,2,3", ps[0].Len(), ps[1].Len(), ps[2].Len())
+	if len(ps[0]) != 3 || len(ps[1]) != 3 || len(ps[2]) != 4 {
+		t.Fatalf("path sizes = %d,%d,%d nodes, want 3,3,4", len(ps[0]), len(ps[1]), len(ps[2]))
 	}
 	// Deterministic tie-break: 0-1-3 before 0-2-3.
 	if !ps[0].Equal(Path{0, 1, 3}) || !ps[1].Equal(Path{0, 2, 3}) {
@@ -48,7 +48,7 @@ func TestKShortestLooplessAndValid(t *testing.T) {
 			}
 		}
 		src, dst := 0, n-1
-		ps := g.KShortestPaths(src, dst, 8)
+		ps := NewKSPEngine(g).Paths(src, dst, 8)
 		seen := map[string]bool{}
 		prevLen := 0
 		for _, p := range ps {
@@ -79,16 +79,16 @@ func TestKShortestLooplessAndValid(t *testing.T) {
 			}
 			seen[key] = true
 			// Nondecreasing length.
-			if p.Len() < prevLen {
+			if len(p)-1 < prevLen {
 				t.Fatalf("paths out of order: %v", ps)
 			}
-			prevLen = p.Len()
+			prevLen = len(p) - 1
 		}
 		// First path must be a true shortest path.
 		if len(ps) > 0 {
 			d := g.BFS(src)
-			if ps[0].Len() != d[dst] {
-				t.Fatalf("first path len %d != BFS %d", ps[0].Len(), d[dst])
+			if len(ps[0])-1 != d[dst] {
+				t.Fatalf("first path len %d != BFS %d", len(ps[0])-1, d[dst])
 			}
 		}
 	}
@@ -97,21 +97,21 @@ func TestKShortestLooplessAndValid(t *testing.T) {
 func TestKShortestUnreachable(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1)
-	if ps := g.KShortestPaths(0, 3, 5); ps != nil {
+	if ps := NewKSPEngine(g).Paths(0, 3, 5); ps != nil {
 		t.Fatalf("got paths to unreachable vertex: %v", ps)
 	}
 }
 
 func TestKShortestKZero(t *testing.T) {
 	g := diamondGraph()
-	if ps := g.KShortestPaths(0, 3, 0); ps != nil {
+	if ps := NewKSPEngine(g).Paths(0, 3, 0); ps != nil {
 		t.Fatalf("k=0 returned %v", ps)
 	}
 }
 
 func TestKShortestSingleVertex(t *testing.T) {
 	g := New(1)
-	ps := g.KShortestPaths(0, 0, 3)
+	ps := NewKSPEngine(g).Paths(0, 0, 3)
 	if len(ps) != 1 || !ps[0].Equal(Path{0}) {
 		t.Fatalf("self path = %v", ps)
 	}
@@ -123,7 +123,7 @@ func TestKShortestExhaustsCandidates(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.AddEdge(i, i+1)
 	}
-	ps := g.KShortestPaths(0, 4, 10)
+	ps := NewKSPEngine(g).Paths(0, 4, 10)
 	if len(ps) != 1 {
 		t.Fatalf("got %d paths on a path graph, want 1", len(ps))
 	}
@@ -132,11 +132,11 @@ func TestKShortestExhaustsCandidates(t *testing.T) {
 func TestKShortestRingCount(t *testing.T) {
 	// A ring has exactly two loopless paths between any pair.
 	g := ringGraph(7)
-	ps := g.KShortestPaths(0, 3, 10)
+	ps := NewKSPEngine(g).Paths(0, 3, 10)
 	if len(ps) != 2 {
 		t.Fatalf("got %d paths on ring, want 2: %v", len(ps), ps)
 	}
-	if ps[0].Len() != 3 || ps[1].Len() != 4 {
-		t.Fatalf("ring path lengths = %d, %d", ps[0].Len(), ps[1].Len())
+	if len(ps[0]) != 4 || len(ps[1]) != 5 {
+		t.Fatalf("ring path sizes = %d, %d nodes, want 4, 5", len(ps[0]), len(ps[1]))
 	}
 }

@@ -22,7 +22,11 @@
 //   - obsconfine: telemetry stays one-way in deterministic packages and
 //     zero-alloc in hot paths (DESIGN.md §15);
 //   - faultconfine: failpoints stay behind the faultinject.Enabled()
-//     guard in deterministic packages and hot paths (DESIGN.md §16).
+//     guard in deterministic packages and hot paths (DESIGN.md §16);
+//   - deadexport: every internal/* export has a non-test reference
+//     somewhere in the module, so the API holds only what production
+//     uses. It is the one module-wide analyzer: Run gathers every
+//     loaded package's references before the passes start.
 //
 // Every exemption is an explicit, reviewed decision:
 //
@@ -59,6 +63,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
+	// refs holds the references of every loaded package, for the
+	// module-wide deadexport analyzer.
+	refs *moduleRefs
 	// report receives raw diagnostics; the driver applies suppression.
 	report func(Diagnostic)
 }
@@ -95,6 +102,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
+	refs := collectRefs(pkgs)
 	var findings []Finding
 	for _, pkg := range pkgs {
 		ann := scanAnnotations(pkg.Fset, pkg.Files)
@@ -106,6 +114,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
+				refs:      refs,
 			}
 			pass.report = func(d Diagnostic) {
 				if ann.allowed(a.Name, pkg.Fset, d.Pos) {
@@ -136,9 +145,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	return findings
 }
 
-// All returns jellyvet's six analyzers.
+// All returns jellyvet's seven analyzers.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Hotpath, RNGStream, Confinement, Obsconfine, Faultconfine}
+	return []*Analyzer{Determinism, Hotpath, RNGStream, Confinement, Obsconfine, Faultconfine, DeadExport}
 }
 
 // typeInvolves reports whether t is named (or is a pointer / slice /

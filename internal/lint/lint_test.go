@@ -110,9 +110,9 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}
 }
 
-// TestFixturesCoverEveryAnalyzer guards the suite itself: each of the
-// four analyzers (plus the grammar pseudo-analyzer) must produce at
-// least one finding in the fixtures, so a silently broken analyzer
+// TestFixturesCoverEveryAnalyzer guards the suite itself: each analyzer
+// (plus the grammar pseudo-analyzer) must produce at least one finding
+// in the fixtures, so a silently broken analyzer
 // cannot hide behind an accidentally empty suite.
 func TestFixturesCoverEveryAnalyzer(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("testdata", "src", "check"))

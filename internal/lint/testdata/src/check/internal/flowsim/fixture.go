@@ -7,16 +7,16 @@ package flowsim
 
 import "check/internal/faultinject"
 
-// Unguarded calls in a deterministic package are the core violation.
-func Unguarded() error {
+// unguarded calls in a deterministic package are the core violation.
+func unguarded() error {
 	if _, ok := faultinject.Hit("flowsim.round"); ok { // want `faultinject.Hit outside an .if faultinject.Enabled\(\). guard`
 		return nil
 	}
 	return faultinject.Fire("flowsim.round") // want `faultinject.Fire outside an .if faultinject.Enabled\(\). guard`
 }
 
-// Guarded is the blessed shape: no finding.
-func Guarded() error {
+// guarded is the blessed shape: no finding.
+func guarded() error {
 	if faultinject.Enabled() {
 		if err := faultinject.Fire("flowsim.round"); err != nil {
 			return err
@@ -25,24 +25,24 @@ func Guarded() error {
 	return nil
 }
 
-// GuardedCompound keeps the guard as one conjunct: still guarded.
-func GuardedCompound(active bool) error {
+// guardedCompound keeps the guard as one conjunct: still guarded.
+func guardedCompound(active bool) error {
 	if active && faultinject.Enabled() {
 		return faultinject.Fire("flowsim.round")
 	}
 	return nil
 }
 
-// EnabledAlone polls only the guard itself: always admissible.
-func EnabledAlone() bool {
+// enabledAlone polls only the guard itself: always admissible.
+func enabledAlone() bool {
 	return faultinject.Enabled()
 }
 
-// WrongGuard nests the call under an unrelated condition: the Enabled()
+// wrongGuard nests the call under an unrelated condition: the Enabled()
 // result feeding a variable does not count — the analyzer wants the
 // lexical guard, which is what the branch predictor and the reviewer
 // both see.
-func WrongGuard(active bool) error {
+func wrongGuard(active bool) error {
 	on := faultinject.Enabled()
 	if on && active {
 		return faultinject.Fire("flowsim.round") // want `faultinject.Fire outside an .if faultinject.Enabled\(\). guard`
@@ -50,19 +50,19 @@ func WrongGuard(active bool) error {
 	return nil
 }
 
-// Allowed carries a reviewed suppression.
-func Allowed() error {
+// allowed carries a reviewed suppression.
+func allowed() error {
 	//jellyvet:allow faultconfine -- fixture coverage for the suppression path
 	return faultinject.Fire("flowsim.round")
 }
 
-// HotLoop is a //jellyvet:hotpath function: the rule applies here even
+// hotLoop is a //jellyvet:hotpath function: the rule applies here even
 // though the enclosing package check would already catch it; the
 // hotpath range check is what extends the rule outside deterministic
 // packages.
 //
 //jellyvet:hotpath
-func HotLoop(n int) error {
+func hotLoop(n int) error {
 	for i := 0; i < n; i++ {
 		if err := faultinject.Fire("flowsim.pop"); err != nil { // want `faultinject.Fire outside an .if faultinject.Enabled\(\). guard`
 			return err

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-func Spread(m map[int]int) int {
+func spread(m map[int]int) int {
 	total := 0
 	for _, v := range m { // want `range over map`
 		total += v
@@ -17,31 +17,31 @@ func Spread(m map[int]int) int {
 	return total
 }
 
-func Stamp() time.Time {
+func stamp() time.Time {
 	return time.Now() // want `time.Now reads the wall clock`
 }
 
-func Elapsed(t0 time.Time) time.Duration {
+func elapsed(t0 time.Time) time.Duration {
 	return time.Since(t0) // want `time.Since reads the wall clock`
 }
 
-func Draw() int {
+func draw() int {
 	return rand.Intn(10) // want `math/rand.Intn draws from the shared global stream`
 }
 
-func Spawn(ch chan int) {
+func spawn(ch chan int) {
 	go send(ch) // want `go statement in a deterministic package`
 }
 
 func send(ch chan int) { ch <- 1 }
 
-// Seeded uses only constructors, which build explicit sources: no finding.
-func Seeded() *rand.Rand {
+// seeded uses only constructors, which build explicit sources: no finding.
+func seeded() *rand.Rand {
 	return rand.New(rand.NewSource(1))
 }
 
-// SortedSpread ranges over a slice, not a map: no finding.
-func SortedSpread(m map[int]int, keys []int) int {
+// sortedSpread ranges over a slice, not a map: no finding.
+func sortedSpread(m map[int]int, keys []int) int {
 	total := 0
 	for _, k := range keys {
 		total += m[k]
@@ -49,8 +49,8 @@ func SortedSpread(m map[int]int, keys []int) int {
 	return total
 }
 
-// Allowed carries a reviewed suppression on the line above the range.
-func Allowed(m map[int]bool) int {
+// allowed carries a reviewed suppression on the line above the range.
+func allowed(m map[int]bool) int {
 	n := 0
 	//jellyvet:allow determinism -- order-insensitive count for fixture coverage
 	for range m {
@@ -59,11 +59,11 @@ func Allowed(m map[int]bool) int {
 	return n
 }
 
-// WholeFunc demonstrates the function-doc allow scope: the directive in
+// wholeFunc demonstrates the function-doc allow scope: the directive in
 // this doc comment suppresses every determinism finding in the body.
 //
 //jellyvet:allow determinism -- whole-function exemption for fixture coverage
-func WholeFunc(m map[int]int) time.Time {
+func wholeFunc(m map[int]int) time.Time {
 	for range m {
 		break
 	}

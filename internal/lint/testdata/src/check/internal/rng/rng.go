@@ -6,8 +6,6 @@ package rng
 
 type Source struct{ seed uint64 }
 
-func New(seed uint64) *Source { return &Source{seed: seed} }
-
 func (s *Source) Split(label string) *Source {
 	return &Source{seed: s.seed + uint64(len(label))}
 }

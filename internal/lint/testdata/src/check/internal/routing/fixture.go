@@ -13,9 +13,9 @@ var (
 	rec    telemetry.Recorder
 )
 
-// Instrumented is the negative control: write-only instrumentation,
+// instrumented is the negative control: write-only instrumentation,
 // inert telemetry values, results flowing only back into telemetry.
-func Instrumented() {
+func instrumented() {
 	t := telemetry.StartTimer() // ok: Timer is a telemetry type
 	rec.Begin("phase", 1)
 	phases.Inc()
@@ -27,9 +27,9 @@ func Instrumented() {
 	_ = rec.TraceSince(m)         // ok: *Trace is a telemetry type
 }
 
-// Feedback lets telemetry read-outs escape into computation — the bug
+// feedback lets telemetry read-outs escape into computation — the bug
 // class obsconfine exists for.
-func Feedback() int64 {
+func feedback() int64 {
 	n := phases.Value()   // want `result of telemetry.Value feeds back into computation`
 	if dur.Count() > 10 { // want `result of telemetry.Count feeds back into computation`
 		n++
@@ -37,13 +37,13 @@ func Feedback() int64 {
 	return n
 }
 
-// Returned leaks a read-out to the caller.
-func Returned() int64 {
+// returned leaks a read-out to the caller.
+func returned() int64 {
 	return depth.Value() // want `result of telemetry.Value feeds back into computation`
 }
 
-// Snapshot is a reviewed diagnostic read-out: allowed with a reason.
-func Snapshot() int64 {
+// snapshot is a reviewed diagnostic read-out: allowed with a reason.
+func snapshot() int64 {
 	return phases.Value() //jellyvet:allow obsconfine -- stats-endpoint read-out; never enters a response digest
 }
 

@@ -1,8 +1,8 @@
-// Package maxflow implements Dinic's maximum-flow algorithm on directed
-// networks with float64 capacities. It is used to compute exact minimum cuts
-// (bisection certificates) on the explicit topologies built elsewhere in this
-// repository, and to verify the r-connectivity claims the Jellyfish paper
-// makes about random regular graphs.
+// Package maxflow implements Dinic's maximum-flow algorithm on
+// undirected networks with float64 capacities. It is used to compute
+// exact minimum cuts (bisection certificates) on the explicit topologies
+// built elsewhere in this repository, and to verify the r-connectivity
+// claims the Jellyfish paper makes about random regular graphs.
 package maxflow
 
 import "math"
@@ -10,8 +10,8 @@ import "math"
 // eps guards float comparisons on residual capacities.
 const eps = 1e-12
 
-// Network is a flow network on vertices 0..N-1.
-// Arcs are directed; use AddUndirected for bidirectional capacity.
+// Network is a flow network on vertices 0..n-1, built from undirected
+// edges with AddUndirected.
 type Network struct {
 	n     int
 	head  [][]int // arc indices per node
@@ -26,23 +26,6 @@ func New(n int) *Network {
 	return &Network{n: n, head: make([][]int, n)}
 }
 
-// N returns the vertex count.
-func (nw *Network) N() int { return nw.n }
-
-// AddArc adds a directed arc u->v with the given capacity and returns its
-// arc index. A reverse arc with zero capacity is added automatically.
-func (nw *Network) AddArc(u, v int, c float64) int {
-	if c < 0 {
-		panic("maxflow: negative capacity")
-	}
-	id := len(nw.to)
-	nw.to = append(nw.to, v, u)
-	nw.cap = append(nw.cap, c, 0)
-	nw.head[u] = append(nw.head[u], id)
-	nw.head[v] = append(nw.head[v], id+1)
-	return id
-}
-
 // AddUndirected adds capacity c in both directions between u and v.
 func (nw *Network) AddUndirected(u, v int, c float64) {
 	// Two arcs whose reverse arcs carry the opposite direction's capacity:
@@ -55,7 +38,7 @@ func (nw *Network) AddUndirected(u, v int, c float64) {
 }
 
 // MaxFlow computes the maximum s-t flow. The network's residual state is
-// consumed; call MinCutSide afterwards to read the cut.
+// consumed.
 func (nw *Network) MaxFlow(s, t int) float64 {
 	if s == t {
 		return math.Inf(1)
@@ -117,24 +100,4 @@ func (nw *Network) dfsAugment(u, t int, f float64) float64 {
 		}
 	}
 	return 0
-}
-
-// MinCutSide returns, after MaxFlow(s,t), the set of vertices reachable from
-// s in the residual network (the s-side of a minimum cut).
-func (nw *Network) MinCutSide(s int) []bool {
-	side := make([]bool, nw.n)
-	queue := []int{s}
-	side[s] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, a := range nw.head[u] {
-			v := nw.to[a]
-			if nw.cap[a] > eps && !side[v] {
-				side[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return side
 }

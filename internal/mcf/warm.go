@@ -73,14 +73,6 @@ type State struct {
 	Lambda, UpperBound float64
 }
 
-// Edges reports how many edges the snapshot covers.
-func (st *State) Edges() int {
-	if st == nil {
-		return 0
-	}
-	return len(st.edges)
-}
-
 // A Solver is a reusable handle for solving sequences of related
 // instances. It keeps every internal array — CSR arc arrays, Dijkstra
 // scratch, commodity grouping — between Solve calls, rebuilding each

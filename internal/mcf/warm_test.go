@@ -203,8 +203,8 @@ func TestWarmChainSurvivesDegenerateLink(t *testing.T) {
 	if st2 != st {
 		t.Fatal("degenerate link did not pass the warm state through")
 	}
-	if st.Edges() != g.M() {
-		t.Fatalf("State.Edges() = %d, want %d", st.Edges(), g.M())
+	if len(st.edges) != g.M() {
+		t.Fatalf("state covers %d edges, want %d", len(st.edges), g.M())
 	}
 }
 

@@ -177,29 +177,12 @@ type Sim struct {
 
 	rates []float64
 	local []bool
-
-	// interrupt, when set, is polled every interruptStride popped
-	// events; a firing poll abandons the event loop early with partial
-	// goodputs. Callers that interrupt must discard the Result. Nil —
-	// or never firing — leaves results byte-identical, and the poll
-	// allocates nothing.
-	interrupt func() bool
 }
-
-// interruptStride is how many event pops run between cancellation polls:
-// frequent enough that a cancel lands in well under a millisecond of
-// simulated work, sparse enough to stay invisible in the event loop's
-// profile.
-const interruptStride = 1024
-
-// SetInterrupt installs (nil clears) the cooperative cancellation poll
-// (see the interrupt field). A Sim cached as warm state is owned by one
-// shard worker, which sets the poll before a job and clears it after —
-// never concurrently with Simulate.
-func (s *Sim) SetInterrupt(f func() bool) { s.interrupt = f }
 
 // NewSim returns a Sim pre-sized for the given switch and server counts
 // (both lower bounds; the arena grows on demand).
+//
+//jellyvet:allow deadexport -- called by jfbench (nested module)
 func NewSim(switches, servers int) *Sim {
 	s := &Sim{}
 	s.arena.EnsureSwitches(switches)
@@ -282,12 +265,7 @@ func (s *Sim) Simulate(flows []traffic.Flow, table *routing.Table, cfgIn Config,
 		s.inject(0, int32(si))
 	}
 
-	popped := 0
 	for s.pending > 0 {
-		if popped%interruptStride == 0 && s.interrupt != nil && s.interrupt() {
-			break // cancelled: partial goodputs, discarded by the caller
-		}
-		popped++
 		ev := s.pop()
 		if ev.t > s.cfg.Horizon {
 			break

@@ -131,14 +131,6 @@ func (l *Log) Append(payload []byte) error {
 	return nil
 }
 
-// Sync flushes appended records to stable storage.
-func (l *Log) Sync() error {
-	if f, ok := faultinject.Hit("persist.fsync"); ok && f.Err != nil {
-		return fmt.Errorf("persist: syncing journal: %w", f.Err)
-	}
-	return l.f.Sync()
-}
-
 // Reset truncates the log to empty (after its records were subsumed by
 // a snapshot) and syncs the truncation.
 func (l *Log) Reset() error {

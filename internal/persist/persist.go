@@ -122,9 +122,6 @@ func (s *Store) Append(rec []byte) error {
 	return err
 }
 
-// Sync flushes the journal to stable storage.
-func (s *Store) Sync() error { return s.log.Sync() }
-
 // WriteSnapshot atomically replaces the snapshot with b and truncates
 // the journal: temp file, fsync, rename, directory fsync, then journal
 // reset. Replay state afterwards is (b, no records).

@@ -38,9 +38,12 @@ func TestTwoLayerFullyLocalDisconnects(t *testing.T) {
 	// localFrac=1 gives isolated containers — verify we detect that
 	// (degree capped below r when container too small is also exercised).
 	top := TwoLayerJellyfish(3, 8, 8, 4, 1.0, rng.New(3))
-	comps := top.Graph.Components()
-	if len(comps) != 3 {
-		t.Fatalf("components = %d, want 3 isolated containers", len(comps))
+	for s := 0; s < top.NumSwitches(); s++ {
+		for v, d := range top.Graph.BFS(s) {
+			if reached, local := d >= 0, Container(v, 8) == Container(s, 8); reached != local {
+				t.Fatalf("switch %d reaches %d: %v, same container: %v; want 3 isolated containers", s, v, reached, local)
+			}
+		}
 	}
 }
 

@@ -37,10 +37,6 @@ type Arena struct {
 	next int32
 }
 
-// Len returns the number of ids assigned so far; ids are dense in
-// [0, Len).
-func (a *Arena) Len() int { return int(a.next) }
-
 // EnsureSwitches grows the link matrix to cover switch ids < n,
 // preserving existing assignments. O(n²) when it grows; a no-op
 // afterwards.

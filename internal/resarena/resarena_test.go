@@ -15,20 +15,20 @@ func TestIDsAreStableAndDense(t *testing.T) {
 		t.Fatal("src and dst NICs of one server share an id")
 	}
 	seen := map[int32]bool{l01: true, l10: true, src0: true, dst0: true}
-	if len(seen) != 4 || a.Len() != 4 {
-		t.Fatalf("ids not dense/unique: %v, Len=%d", seen, a.Len())
+	if len(seen) != 4 || int(a.next) != 4 {
+		t.Fatalf("ids not dense/unique: %v, assigned=%d", seen, int(a.next))
 	}
 	for id := range seen {
-		if id < 0 || int(id) >= a.Len() {
-			t.Fatalf("id %d outside [0, %d)", id, a.Len())
+		if id < 0 || int(id) >= int(a.next) {
+			t.Fatalf("id %d outside [0, %d)", id, int(a.next))
 		}
 	}
 	// Re-touching returns the same ids.
 	if a.Link(0, 1) != l01 || a.SrcNIC(0) != src0 || a.DstNIC(0) != dst0 {
 		t.Fatal("re-touch changed an id")
 	}
-	if a.Len() != 4 {
-		t.Fatalf("re-touch grew the arena to %d", a.Len())
+	if int(a.next) != 4 {
+		t.Fatalf("re-touch grew the arena to %d", int(a.next))
 	}
 }
 

@@ -20,9 +20,6 @@ func New(seed uint64) *Source {
 	return &Source{Rand: rand.New(rand.NewSource(int64(mix(seed)))), seed: seed}
 }
 
-// Seed reports the seed this source was created with.
-func (s *Source) Seed() uint64 { return s.seed }
-
 // Split derives an independent source for the named sub-component. Calling
 // Split with the same label always yields the same stream, regardless of how
 // much the parent stream has been consumed.
@@ -52,8 +49,3 @@ func mix(z uint64) uint64 {
 // Perm returns a random permutation of n elements, like rand.Perm but
 // guaranteed to use this source.
 func (s *Source) Perm(n int) []int { return s.Rand.Perm(n) }
-
-// Shuffle shuffles the ints in place.
-func (s *Source) ShuffleInts(xs []int) {
-	s.Rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-}

@@ -65,12 +65,6 @@ func TestSplitNDiffers(t *testing.T) {
 	}
 }
 
-func TestSeedAccessor(t *testing.T) {
-	if New(99).Seed() != 99 {
-		t.Fatal("Seed() wrong")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	p := New(3).Perm(50)
 	seen := make([]bool, 50)
@@ -79,21 +73,5 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("not a permutation: %v", p)
 		}
 		seen[v] = true
-	}
-}
-
-func TestShuffleInts(t *testing.T) {
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	New(5).ShuffleInts(xs)
-	sum2 := 0
-	for _, x := range xs {
-		sum2 += x
-	}
-	if sum != sum2 {
-		t.Fatal("shuffle changed multiset")
 	}
 }

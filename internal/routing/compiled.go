@@ -54,9 +54,6 @@ func NewCompiled(g *graph.Graph) *Compiled {
 	return &Compiled{g: g, csr: g.CSR(), ksp: map[kspKey][]graph.Path{}, ecmp: map[int]*ecmpSource{}}
 }
 
-// Graph returns the graph this instance was compiled against.
-func (c *Compiled) Graph() *graph.Graph { return c.g }
-
 // KShortest builds the k-shortest-path table for the given pairs,
 // computing only the pairs this instance has not seen before (fanned out
 // over `workers` goroutines, each with its own flat-scratch KSPEngine)

@@ -29,7 +29,7 @@ func TestECMPFindsAllEqualCostPaths(t *testing.T) {
 		t.Fatalf("got %d ECMP paths, want 2: %v", len(paths), paths)
 	}
 	for _, p := range paths {
-		if p.Len() != 2 {
+		if len(p) != 3 {
 			t.Fatalf("non-shortest ECMP path: %v", p)
 		}
 	}
@@ -54,7 +54,7 @@ func TestECMPExactlyWPathsAllReturned(t *testing.T) {
 		}
 		seen := map[int]bool{}
 		for _, p := range paths {
-			if p.Len() != 2 || p[0] != 0 || p[2] != 9 {
+			if len(p) != 3 || p[0] != 0 || p[2] != 9 {
 				t.Fatalf("seed %d: unexpected path %v", seed, p)
 			}
 			seen[p[1]] = true
@@ -90,7 +90,7 @@ func TestECMPOnlyShortest(t *testing.T) {
 	g.AddEdge(4, 2)
 	tab := ecmp(g, []Pair{{0, 2}}, 8)
 	paths := tab.PathsFor(0, 2)
-	if len(paths) != 1 || paths[0].Len() != 2 {
+	if len(paths) != 1 || len(paths[0]) != 3 {
 		t.Fatalf("ECMP paths = %v, want single 2-hop", paths)
 	}
 }
@@ -107,8 +107,8 @@ func TestKShortestIncludesLonger(t *testing.T) {
 	if len(paths) != 2 {
 		t.Fatalf("kSP paths = %v, want 2", paths)
 	}
-	if paths[0].Len() != 2 || paths[1].Len() != 3 {
-		t.Fatalf("kSP lengths = %d,%d, want 2,3", paths[0].Len(), paths[1].Len())
+	if len(paths[0]) != 3 || len(paths[1]) != 4 {
+		t.Fatalf("kSP sizes = %d,%d nodes, want 3,4", len(paths[0]), len(paths[1]))
 	}
 }
 

@@ -47,20 +47,6 @@ func hardStop(ts *httptest.Server, srv *Server) {
 	}
 }
 
-// waitDegraded polls the degraded gauge to the wanted state; persistDone
-// runs after the job flips terminal, so the flag can lag waitJob.
-func waitDegraded(t *testing.T, srv *Server, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if srv.tele.degradedState.Value() == want {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("degraded gauge never reached %d", want)
-}
-
 const chaosJobBody = `{"type":"capacity-search","request":{"switches":16,"ports":6,"trials":1,"seed":11}}`
 const chaosSyncPath = "/v1/capacity-search"
 const chaosSyncBody = `{"switches":16,"ports":6,"trials":1,"seed":11}`
@@ -96,7 +82,11 @@ func TestChaosAppendFaultDegradedThenRecovers(t *testing.T) {
 		t.Fatalf("job A: %s", got.Status)
 	}
 	_, resultA := doGet(t, ts.URL+"/v1/jobs/"+a.ID+"/result")
-	waitDegraded(t, srv, 1)
+	// finish enters degraded mode under pmu before it publishes the
+	// terminal status waitJob saw, so the gauge is already set.
+	if got := srv.tele.degradedState.Value(); got != 1 {
+		t.Fatalf("degraded gauge = %d, want 1", got)
+	}
 
 	// Degraded: submits refuse with 503/degraded and are withdrawn...
 	status, body := doPost(t, ts.URL+"/v1/jobs", chaosJobBody)
@@ -115,9 +105,12 @@ func TestChaosAppendFaultDegradedThenRecovers(t *testing.T) {
 	}
 
 	// The next submit's append is itself the recovery probe: it succeeds,
-	// clears the flag, and snapshots job A back into durability.
+	// clears the flag, and snapshots job A back into durability, all
+	// before the submit responds.
 	c := submitJob(t, ts.URL, chaosJobBody)
-	waitDegraded(t, srv, 0)
+	if got := srv.tele.degradedState.Value(); got != 0 {
+		t.Fatalf("degraded gauge = %d, want 0", got)
+	}
 	if status, body := doGet(t, ts.URL+"/healthz"); status != http.StatusOK || string(body) != `{"status":"ok"}` {
 		t.Fatalf("healthz after recovery: status %d body %s", status, body)
 	}
@@ -275,7 +268,10 @@ func TestChaosShortWriteTornFrameReplay(t *testing.T) {
 		t.Fatalf("job: %s", got.Status)
 	}
 	_, result1 := doGet(t, ts.URL+"/v1/jobs/"+a.ID+"/result")
-	waitDegraded(t, srv, 1)
+	// Set before the terminal status was published, as above.
+	if got := srv.tele.degradedState.Value(); got != 1 {
+		t.Fatalf("degraded gauge = %d, want 1", got)
+	}
 
 	hardStop(ts, srv)
 	deactivate()

@@ -167,6 +167,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // in-flight work drains. Interrupted jobs are NOT journaled as terminal,
 // so a durable store re-runs them on the next boot — Close is the
 // abrupt path; Drain is the graceful one.
+//
+//jellyvet:allow deadexport -- called by jfbench (nested module)
 func (s *Server) Close() {
 	s.jobs.mu.Lock()
 	s.jobs.draining = true

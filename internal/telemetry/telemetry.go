@@ -14,7 +14,7 @@
 //     never touches time.Now itself, so the determinism analyzer's
 //     no-clock rule stays intact for kernel code.
 //  2. Zero-alloc instrumentation. Every method a hot path may call
-//     (Counter.Add/Inc, Gauge.Set/Add/Inc/Dec, Histogram.Observe/
+//     (Counter.Inc, Gauge.Set/Add/Inc/Dec, Histogram.Observe/
 //     ObserveSince, StartTimer, Recorder.Begin/End/Mark) performs no
 //     allocation and no locking: plain atomics into preallocated slots.
 //
@@ -48,14 +48,6 @@ func (c *Counter) Inc() {
 		return
 	}
 	c.v.Add(1)
-}
-
-// Add adds n (n must be non-negative for Prometheus counter semantics).
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
 }
 
 // Value returns the current count (0 for nil).
@@ -137,14 +129,6 @@ func (h *Histogram) Observe(ns int64) {
 
 // ObserveSince records the elapsed time of t.
 func (h *Histogram) ObserveSince(t Timer) { h.Observe(t.ElapsedNanos()) }
-
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
 
 // snapshot copies the atomics for exposition. Buckets are read after
 // count, so a concurrent Observe can at worst surface in the buckets

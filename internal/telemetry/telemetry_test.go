@@ -7,8 +7,9 @@ import (
 
 func TestCounterGaugeBasics(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(4)
+	for range 5 {
+		c.Inc()
+	}
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
@@ -27,7 +28,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
 	c.Inc()
-	c.Add(3)
 	if c.Value() != 0 {
 		t.Fatal("nil counter has a value")
 	}
@@ -38,9 +38,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var h *Histogram
 	h.Observe(5)
 	h.ObserveSince(StartTimer())
-	if h.Count() != 0 {
-		t.Fatal("nil histogram has a count")
-	}
 	var r *Recorder
 	r.Begin("x", 0)
 	r.End()
@@ -57,9 +54,6 @@ func TestHistogramBuckets(t *testing.T) {
 	h.Observe(1024) // bucket 11
 	h.Observe(-5)   // clamps to 0 → bucket 0
 	h.Observe(1 << 62)
-	if got := h.Count(); got != 6 {
-		t.Fatalf("count = %d, want 6", got)
-	}
 	count, sum, buckets := h.snapshot()
 	if count != 6 {
 		t.Fatalf("snapshot count = %d", count)
@@ -172,7 +166,9 @@ func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("jf_hits_total", "cache hits", Labels("tier", "resp", "worker", "0"))
 	reg.Counter("jf_hits_total", "cache hits", Labels("tier", "resp", "worker", "1"))
-	c.Add(3)
+	for range 3 {
+		c.Inc()
+	}
 	g := reg.Gauge("jf_depth", "queue depth", "")
 	g.Set(2)
 	reg.GaugeFunc("jf_live", "liveness", "", func() int64 { return 1 })
@@ -218,7 +214,6 @@ func TestHotPathInstrumentsZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		tm := StartTimer()
 		c.Inc()
-		c.Add(2)
 		g.Set(1)
 		g.Add(1)
 		h.Observe(17)

@@ -60,35 +60,3 @@ func (c *Compact) NumSwitches() int { return c.CSR.N() }
 
 // NumServers returns the total number of attached servers.
 func (c *Compact) NumServers() int { return c.numServers }
-
-// NumLinks returns the number of switch-to-switch links.
-func (c *Compact) NumLinks() int { return c.CSR.M() }
-
-// ServersAt returns the number of servers attached to switch sw.
-// It is O(#runs); iterate the runs directly for whole-fabric sweeps.
-func (c *Compact) ServersAt(sw int) int {
-	i := int32(sw)
-	for _, r := range c.Servers {
-		if i < r.Count {
-			return int(r.Value)
-		}
-		i -= r.Count
-	}
-	return 0
-}
-
-// AppendServerSwitches appends to buf one entry per server naming its
-// switch, in switch-id order — the compact equivalent of
-// Topology.ServerSwitches — and returns the extended slice.
-func (c *Compact) AppendServerSwitches(buf []int) []int {
-	sw := 0
-	for _, r := range c.Servers {
-		for i := int32(0); i < r.Count; i++ {
-			for s := int32(0); s < r.Value; s++ {
-				buf = append(buf, sw)
-			}
-			sw++
-		}
-	}
-	return buf
-}

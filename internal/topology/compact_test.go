@@ -7,6 +7,17 @@ import (
 	"jellyfish/internal/rng"
 )
 
+// expandRuns spells run-length values out one entry per switch.
+func expandRuns(runs []Run) []int {
+	var out []int
+	for _, r := range runs {
+		for i := int32(0); i < r.Count; i++ {
+			out = append(out, int(r.Value))
+		}
+	}
+	return out
+}
+
 func TestCompactRunsRoundTrip(t *testing.T) {
 	top := JellyfishHeterogeneous(
 		[]int{24, 24, 24, 48, 48, 64, 64, 64, 64, 24},
@@ -14,20 +25,10 @@ func TestCompactRunsRoundTrip(t *testing.T) {
 		rng.New(3),
 	)
 	c := top.Compact()
-
-	expand := func(runs []Run) []int {
-		var out []int
-		for _, r := range runs {
-			for i := int32(0); i < r.Count; i++ {
-				out = append(out, int(r.Value))
-			}
-		}
-		return out
-	}
-	if got := expand(c.Servers); !slices.Equal(got, top.Servers) {
+	if got := expandRuns(c.Servers); !slices.Equal(got, top.Servers) {
 		t.Errorf("Servers runs expand to %v, want %v", got, top.Servers)
 	}
-	if got := expand(c.Ports); !slices.Equal(got, top.Ports) {
+	if got := expandRuns(c.Ports); !slices.Equal(got, top.Ports) {
 		t.Errorf("Ports runs expand to %v, want %v", got, top.Ports)
 	}
 	// Runs must be maximal: no two adjacent runs share a value.
@@ -49,39 +50,16 @@ func TestCompactCounters(t *testing.T) {
 	if c.NumServers() != top.NumServers() {
 		t.Errorf("NumServers %d, want %d", c.NumServers(), top.NumServers())
 	}
-	if c.NumLinks() != top.Graph.M() {
-		t.Errorf("NumLinks %d, want %d", c.NumLinks(), top.Graph.M())
-	}
-	for sw := 0; sw < top.NumSwitches(); sw++ {
-		if got := c.ServersAt(sw); got != top.Servers[sw] {
-			t.Errorf("ServersAt(%d) = %d, want %d", sw, got, top.Servers[sw])
-		}
-	}
-	if got := c.ServersAt(top.NumSwitches() + 5); got != 0 {
-		t.Errorf("ServersAt past end = %d, want 0", got)
-	}
-}
-
-func TestCompactAppendServerSwitches(t *testing.T) {
-	top := Jellyfish(25, 10, 6, rng.New(4))
-	c := top.Compact()
-	want := top.ServerSwitches()
-	if got := c.AppendServerSwitches(nil); !slices.Equal(got, want) {
-		t.Errorf("AppendServerSwitches(nil) = %v, want %v", got, want)
-	}
-	// Appends after existing content without clobbering it.
-	buf := []int{-1, -2}
-	got := c.AppendServerSwitches(buf)
-	if got[0] != -1 || got[1] != -2 || !slices.Equal(got[2:], want) {
-		t.Errorf("AppendServerSwitches(buf) clobbered prefix or diverged")
+	if c.CSR.M() != top.Graph.M() {
+		t.Errorf("links %d, want %d", c.CSR.M(), top.Graph.M())
 	}
 }
 
 func TestCompactIsSnapshot(t *testing.T) {
 	top := Jellyfish(20, 8, 5, rng.New(7))
 	c := top.Compact()
-	n, m := c.NumSwitches(), c.NumLinks()
-	servers0 := c.AppendServerSwitches(nil)
+	n, m := c.NumSwitches(), c.CSR.M()
+	servers0 := expandRuns(c.Servers)
 
 	// Mutate the source topology: the snapshot must not move.
 	top.Servers[0] += 3
@@ -95,10 +73,10 @@ func TestCompactIsSnapshot(t *testing.T) {
 		}
 	}
 	top.Graph.AddEdge(u-1, v)
-	if c.NumSwitches() != n || c.NumLinks() != m {
-		t.Errorf("snapshot dims moved to (%d, %d) after mutation", c.NumSwitches(), c.NumLinks())
+	if c.NumSwitches() != n || c.CSR.M() != m {
+		t.Errorf("snapshot dims moved to (%d, %d) after mutation", c.NumSwitches(), c.CSR.M())
 	}
-	if got := c.AppendServerSwitches(nil); !slices.Equal(got, servers0) {
+	if got := expandRuns(c.Servers); !slices.Equal(got, servers0) {
 		t.Errorf("snapshot server map moved after mutation")
 	}
 }

@@ -50,7 +50,7 @@ func TestOptimizedRegularGraphImproves(t *testing.T) {
 	baseline := Jellyfish(n, r, r, rng.New(1).Split("seed-graph")).Graph
 	opt := OptimizedRegularGraph(n, r, 1500, src)
 	if !opt.IsRegular(r) {
-		t.Fatalf("optimizer broke regularity: min=%d max=%d", opt.MinDegree(), opt.MaxDegree())
+		t.Fatal("optimizer broke regularity")
 	}
 	if !opt.Connected() {
 		t.Fatal("optimizer produced disconnected graph")

@@ -54,44 +54,3 @@ func FatTree(k int) *Topology {
 	}
 	return t
 }
-
-// FatTreePod returns the pod index of switch id in a k-ary fat-tree, or -1
-// for core switches. This is used by the physical-layout experiments that
-// place each pod in one container.
-func FatTreePod(k, id int) int {
-	half := k / 2
-	numEdge := k * half
-	numAgg := k * half
-	switch {
-	case id < numEdge:
-		return id / half
-	case id < numEdge+numAgg:
-		return (id - numEdge) / half
-	default:
-		return -1
-	}
-}
-
-// FatTreeContainer returns the container index of switch id under the
-// paper's massive-scale layout (§6.3): each pod is one container, and the
-// (k/2)² core switches are divided equally among the k pods (k/4 cores per
-// container).
-func FatTreeContainer(k, id int) int {
-	if pod := FatTreePod(k, id); pod >= 0 {
-		return pod
-	}
-	numEdge := k * k / 2
-	numAgg := k * k / 2
-	cid := id - numEdge - numAgg
-	coresPerPod := k / 4
-	if coresPerPod == 0 {
-		coresPerPod = 1
-	}
-	return (cid / coresPerPod) % k
-}
-
-// FatTreeLocalLinkFraction returns the fraction of fat-tree links that stay
-// within a pod under the pod-per-container layout: 0.5·(1+1/k) (§6.3).
-func FatTreeLocalLinkFraction(k int) float64 {
-	return 0.5 * (1 + 1/float64(k))
-}

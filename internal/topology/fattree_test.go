@@ -79,26 +79,14 @@ func TestFatTreePanicsOnOddK(t *testing.T) {
 	FatTree(5)
 }
 
+// Edge and aggregation switches wire only within their pod; only the
+// aggregation-core layer crosses pods.
 func TestFatTreePod(t *testing.T) {
-	k := 4
+	k := 8
 	ft := FatTree(k)
-	numEdge := k * k / 2
-	numAgg := k * k / 2
-	for id := 0; id < ft.NumSwitches(); id++ {
-		pod := FatTreePod(k, id)
-		switch {
-		case id < numEdge:
-			if pod != id/(k/2) {
-				t.Fatalf("edge %d pod = %d", id, pod)
-			}
-		case id < numEdge+numAgg:
-			if pod != (id-numEdge)/(k/2) {
-				t.Fatalf("agg %d pod = %d", id, pod)
-			}
-		default:
-			if pod != -1 {
-				t.Fatalf("core %d pod = %d, want -1", id, pod)
-			}
+	for _, e := range ft.Graph.Edges() {
+		if e.V < k*k && fatTreeContainer(k, e.U) != fatTreeContainer(k, e.V) {
+			t.Fatalf("link %v joins pods %d and %d below the core", e, fatTreeContainer(k, e.U), fatTreeContainer(k, e.V))
 		}
 	}
 }
@@ -110,32 +98,26 @@ func TestFatTreeLocalLinkFraction(t *testing.T) {
 	ft := FatTree(k)
 	local := 0
 	for _, e := range ft.Graph.Edges() {
-		if FatTreeContainer(k, e.U) == FatTreeContainer(k, e.V) {
+		if fatTreeContainer(k, e.U) == fatTreeContainer(k, e.V) {
 			local++
 		}
 	}
 	got := float64(local) / float64(ft.NumLinks())
-	want := FatTreeLocalLinkFraction(k)
-	if got != want {
+	if want := 0.5 * (1 + 1/float64(k)); got != want {
 		t.Fatalf("local fraction = %v, formula says %v", got, want)
 	}
 }
 
-func TestFatTreeContainerCoreSpread(t *testing.T) {
-	k := 8
-	ft := FatTree(k)
-	counts := make([]int, k)
-	numEdge, numAgg := k*k/2, k*k/2
-	for id := numEdge + numAgg; id < ft.NumSwitches(); id++ {
-		c := FatTreeContainer(k, id)
-		if c < 0 || c >= k {
-			t.Fatalf("core %d container = %d out of range", id, c)
-		}
-		counts[c]++
+// fatTreeContainer returns the container of switch id under the paper's
+// massive-scale layout (§6.3): each pod is one container, and the (k/2)²
+// core switches are divided equally among the k pods.
+func fatTreeContainer(k, id int) int {
+	half := k / 2
+	switch {
+	case id < k*half: // edge switches, half per pod
+		return id / half
+	case id < k*k: // aggregation switches, half per pod
+		return (id - k*half) / half
 	}
-	for pod, c := range counts {
-		if c != k/4 {
-			t.Fatalf("pod %d has %d cores, want %d", pod, c, k/4)
-		}
-	}
+	return ((id - k*k) / max(k/4, 1)) % k
 }

@@ -53,22 +53,6 @@ func AddServerSpread(t *Topology, src *rng.Source) int {
 	return sw
 }
 
-// AddServersSpread applies AddServerSpread count times, deriving the i-th
-// step's randomness from src by stable index so the resulting topology is
-// a pure function of (input topology, src, count) — growing in one call
-// or across several yields the identical network. Returns how many
-// servers were actually placed (fewer than count only when the inventory
-// is full).
-func AddServersSpread(t *Topology, count int, src *rng.Source) int {
-	base := t.NumServers()
-	for i := 0; i < count; i++ {
-		if AddServerSpread(t, src.SplitN("srv", base+i)) < 0 {
-			return i
-		}
-	}
-	return count
-}
-
 // rematchFreePorts joins dangling network ports back into links, in the
 // spirit of the construction's repair phases (§3): a switch holding ≥2
 // free ports splices itself into a random existing link; two distinct

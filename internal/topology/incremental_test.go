@@ -20,12 +20,27 @@ func spreadEven(switches, ports, servers int, src *rng.Source) *Topology {
 	return JellyfishHeterogeneous(portsPer, serversPer, src)
 }
 
+// addServersSpread applies AddServerSpread count times, deriving the
+// i-th step's randomness from src by absolute server index, as
+// capsearch's family growth does, so growing in one call or across
+// several yields the identical network. It returns how many servers were
+// placed: fewer than count only when the inventory is full.
+func addServersSpread(t *Topology, count int, src *rng.Source) int {
+	base := t.NumServers()
+	for i := 0; i < count; i++ {
+		if AddServerSpread(t, src.SplitN("srv", base+i)) < 0 {
+			return i
+		}
+	}
+	return count
+}
+
 // Growing one server at a time must reproduce the spread-even server
 // distribution SpreadServers-style construction uses: the i-th extra
 // server lands on the lowest-index least-loaded switch.
 func TestAddServerSpreadMatchesSpreadCounts(t *testing.T) {
 	top := spreadEven(10, 8, 10, rng.New(3))
-	AddServersSpread(top, 23, rng.New(4))
+	addServersSpread(top, 23, rng.New(4))
 	want := spreadEven(10, 8, 33, rng.New(5)) // same counts, independent wiring
 	for i := range top.Servers {
 		if top.Servers[i] != want.Servers[i] {
@@ -69,9 +84,9 @@ func TestAddServerSpreadConservesPorts(t *testing.T) {
 func TestAddServersSpreadPurity(t *testing.T) {
 	a := spreadEven(10, 8, 10, rng.New(3))
 	b := a.Clone()
-	AddServersSpread(a, 20, rng.New(4))
-	AddServersSpread(b, 8, rng.New(4))
-	AddServersSpread(b, 12, rng.New(4))
+	addServersSpread(a, 20, rng.New(4))
+	addServersSpread(b, 8, rng.New(4))
+	addServersSpread(b, 12, rng.New(4))
 	ae, be := a.Graph.Edges(), b.Graph.Edges()
 	if len(ae) != len(be) {
 		t.Fatalf("edge counts differ: %d vs %d", len(ae), len(be))
@@ -88,13 +103,13 @@ func TestAddServersSpreadPurity(t *testing.T) {
 	}
 }
 
-// AddServersSpread reports how many servers fit when the inventory runs
+// addServersSpread reports how many servers fit when the inventory runs
 // out, instead of overfilling.
 func TestAddServersSpreadStopsWhenFull(t *testing.T) {
 	top := spreadEven(4, 4, 4, rng.New(1))
 	// 4 switches × 4 ports: capacity 3 servers/switch (one port must
 	// remain... actually all 4 can go to servers once links are gone).
-	placed := AddServersSpread(top, 100, rng.New(2))
+	placed := addServersSpread(top, 100, rng.New(2))
 	if placed >= 100 {
 		t.Fatalf("placed %d servers on a 16-port inventory", placed)
 	}

@@ -23,9 +23,6 @@ type Pattern struct {
 	Flows []Flow
 }
 
-// NumServers returns the number of servers in the pattern's topology.
-func (p *Pattern) NumServers() int { return len(p.ServerSwitch) }
-
 // Commodities aggregates the server flows into switch-level commodities for
 // the concurrent-flow solver, merging flows that share a (srcSwitch,
 // dstSwitch) pair. Same-switch flows are included (the solver ignores them;
@@ -49,18 +46,6 @@ func (p *Pattern) Commodities() []mcf.Commodity {
 		out = append(out, mcf.Commodity{Src: k.s, Dst: k.d, Demand: agg[k]})
 	}
 	return out
-}
-
-// IntraSwitchFlows counts flows whose endpoints share a switch; these are
-// served at full rate without touching the network.
-func (p *Pattern) IntraSwitchFlows() int {
-	n := 0
-	for _, f := range p.Flows {
-		if f.SrcSwitch == f.DstSwitch {
-			n++
-		}
-	}
-	return n
 }
 
 // RandomPermutation builds the paper's random-permutation workload over the
@@ -217,45 +202,4 @@ func Hotspot(serverSwitch []int, hotSwitch int, frac float64, src *rng.Source) *
 		}
 	}
 	return base
-}
-
-// AdversarialPermutation builds a permutation chosen to stress the
-// network: servers are paired so that switch-to-switch distances are
-// (heuristically) maximized, via greedy matching of BFS-farthest switches.
-// The paper's footnote 9 notes that bisection bandwidth is not the same as
-// capacity under worst-case traffic; this generator probes that gap.
-func AdversarialPermutation(serverSwitch []int, dist func(a, b int) int, src *rng.Source) *Pattern {
-	n := len(serverSwitch)
-	p := &Pattern{ServerSwitch: serverSwitch, Flows: make([]Flow, 0, n)}
-	// Greedily pair each server (in random order) with the unclaimed
-	// server whose switch is farthest from its own.
-	order := src.Perm(n)
-	claimed := make([]bool, n)
-	for _, s := range order {
-		best, bestDist := -1, -1
-		for d := 0; d < n; d++ {
-			if d == s || claimed[d] {
-				continue
-			}
-			dd := dist(serverSwitch[s], serverSwitch[d])
-			if dd > bestDist {
-				best, bestDist = d, dd
-			}
-		}
-		if best < 0 {
-			// Only s itself is unclaimed: steal the first flow's
-			// destination and give that flow s instead, preserving
-			// injectivity without a fixed point.
-			f := &p.Flows[0]
-			best = f.DstServer
-			f.DstServer = s
-			f.DstSwitch = serverSwitch[s]
-		}
-		claimed[best] = true
-		p.Flows = append(p.Flows, Flow{
-			SrcServer: s, DstServer: best,
-			SrcSwitch: serverSwitch[s], DstSwitch: serverSwitch[best],
-		})
-	}
-	return p
 }
