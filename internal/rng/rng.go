@@ -23,19 +23,23 @@ func New(seed uint64) *Source {
 // Split derives an independent source for the named sub-component. Calling
 // Split with the same label always yields the same stream, regardless of how
 // much the parent stream has been consumed.
-func (s *Source) Split(label string) *Source {
+func (s *Source) Split(label string) *Source { return New(s.splitSeed(label)) }
+
+// SplitN derives an independent source for the i-th trial of the named
+// sub-component. It is seeded from Split(label)'s seed without building
+// that intermediate source.
+func (s *Source) SplitN(label string, i int) *Source {
+	return New(mix(s.splitSeed(label) ^ (0x9e3779b97f4a7c15 * uint64(i+1))))
+}
+
+// splitSeed is the seed of Split(label): an FNV-1a-style fold of the label
+// into this source's seed, then mixed.
+func (s *Source) splitSeed(label string) uint64 {
 	h := s.seed
 	for i := 0; i < len(label); i++ {
 		h = (h ^ uint64(label[i])) * 0x100000001b3
 	}
-	return New(mix(h))
-}
-
-// SplitN derives an independent source for the i-th trial of the named
-// sub-component.
-func (s *Source) SplitN(label string, i int) *Source {
-	h := s.Split(label).seed
-	return New(mix(h ^ (0x9e3779b97f4a7c15 * uint64(i+1))))
+	return mix(h)
 }
 
 // mix is the SplitMix64 finalizer; it decorrelates nearby seeds.
