@@ -302,21 +302,40 @@ func AblationPacketVsFluid(opt Options) *Table {
 		Columns: []string{"servers", "optimal_mcf", "fluid_flowsim", "packet_des", "des/fluid"},
 	}
 	w := opt.workers()
-	rows := parallel.Map(w, len(sizes), func(si int) [3]float64 {
-		servers := sizes[si]
+	// Build every size's instance first, then run its two costly stages —
+	// mcf plus the fluid model, and the DES — as separate tasks on one
+	// flat list: task 2·si is size si's mcf and fluid, task 2·si+1 its
+	// DES. Workers claim from the end, so the largest size's two tasks
+	// start first and the small ones fill in behind them.
+	type instance struct {
+		tsrc  *rng.Source
+		top   *topology.Topology
+		pat   *traffic.Pattern
+		table *routing.Table
+	}
+	insts := make([]instance, len(sizes))
+	for si, servers := range sizes {
 		tsrc := src.Split(fmt.Sprintf("s%d", servers))
 		top := spread(servers/3, 12, servers, tsrc.Split("topo"))
 		pat := traffic.RandomPermutation(top.ServerSwitches(), tsrc.Split("traffic"))
-		table := routeTable(top, pat, "ksp8", tsrc.Split("routes"), w)
-
-		optimal := mcfThroughput(top, tsrc.Split("mcf"), 1)
-		// MPTCP8 consumes no randomness; no dead "fluid" split (flowsim's
-		// stream contract). The DES keeps its stream: uncoupled configs
-		// hash routes from it, so the signature stays uniform there.
-		fluid := flowsim.Simulate(pat.Flows, table, flowsim.MPTCP8, nil).Mean()
-		des := packetsim.Simulate(pat.Flows, table,
-			packetsim.Config{Subflows: 8, Coupled: true, Horizon: 6000}, tsrc.Split("des")).Mean()
-		return [3]float64{optimal, fluid, des}
+		insts[si] = instance{tsrc, top, pat, routeTable(top, pat, "ksp8", tsrc.Split("routes"), w)}
+	}
+	rows := make([][3]float64, len(sizes))
+	n := 2 * len(sizes)
+	parallel.ForEach(w, n, func(j int) {
+		task := n - 1 - j
+		in, row := insts[task/2], &rows[task/2]
+		if task%2 == 0 {
+			row[0] = mcfThroughput(in.top, in.tsrc.Split("mcf"), 1)
+			// MPTCP8 consumes no randomness; no dead "fluid" split
+			// (flowsim's stream contract).
+			row[1] = flowsim.Simulate(in.pat.Flows, in.table, flowsim.MPTCP8, nil).Mean()
+			return
+		}
+		// The DES keeps its stream: uncoupled configs hash routes from it,
+		// so the signature stays uniform there.
+		row[2] = packetsim.Simulate(in.pat.Flows, in.table,
+			packetsim.Config{Subflows: 8, Coupled: true, Horizon: 6000}, in.tsrc.Split("des")).Mean()
 	})
 	for si, servers := range sizes {
 		optimal, fluid, des := rows[si][0], rows[si][1], rows[si][2]

@@ -29,11 +29,13 @@ func renderWith(t *testing.T, id string, workers int) string {
 // fan-out, and table1 drives the per-trial experiment fan-out over
 // shared compiled transport instances (per-worker Sim scratch + one
 // routing.Compiled) — plus ablation-hotspot, whose per-trial warm-start
-// chains must also be scheduling-independent. fig11 — the family-probing
-// transport search with per-worker Sims carried across probes — rides
-// along outside -short (it is the heaviest of the set).
+// chains must also be scheduling-independent, and
+// ablation-packet-vs-fluid, whose mcf and DES stages for one size run as
+// separate tasks. fig11 — the family-probing transport search with
+// per-worker Sims carried across probes — rides along outside -short (it
+// is the heaviest of the set).
 func TestWorkerCountDeterminism(t *testing.T) {
-	ids := []string{"fig10", "fig9", "table1", "ablation-hotspot"}
+	ids := []string{"fig10", "fig9", "table1", "ablation-hotspot", "ablation-packet-vs-fluid"}
 	if !testing.Short() {
 		ids = append(ids, "fig11")
 	}

@@ -163,23 +163,30 @@ func Table1RoutingCongestion(opt Options) *Table {
 	ftKit := newTransportKit(ft, w)
 	jfKit := newTransportKit(jf, w)
 	protos := []flowsim.Protocol{flowsim.TCP1, flowsim.TCP8, flowsim.MPTCP8}
-	for _, proto := range protos {
-		perTrial := parallel.MapWorker(w, trials, func(worker, i int) [3]float64 {
-			tsrc := src.SplitN(proto.String(), i)
-			return [3]float64{
-				ftKit.simMean(worker, "ecmp8", proto, tsrc.Split("ft")) / float64(trials),
-				jfKit.simMean(worker, "ecmp8", proto, tsrc.Split("jfe")) / float64(trials),
-				jfKit.simMean(worker, "ksp8", proto, tsrc.Split("jfk")) / float64(trials),
-			}
-		})
-		var ftv, jfe, jfk float64
-		for _, v := range perTrial {
-			ftv += v[0]
-			jfe += v[1]
-			jfk += v[2]
+	stacks := []struct {
+		kit           *transportKit
+		scheme, label string
+	}{{ftKit, "ecmp8", "ft"}, {jfKit, "ecmp8", "jfe"}, {jfKit, "ksp8", "jfk"}}
+	// One flat task list over every (protocol, trial, stack) cell, laid
+	// out in that row-major order. Workers claim from the end, so MPTCP8's
+	// cells, the costliest, start first and TCP1's fill in behind them.
+	perProto := trials * len(stacks)
+	n := len(protos) * perProto
+	cells := make([]float64, n)
+	parallel.ForEachWorker(w, n, func(worker, j int) {
+		c := n - 1 - j
+		proto, st := protos[c/perProto], stacks[c%len(stacks)]
+		tsrc := src.SplitN(proto.String(), c%perProto/len(stacks))
+		cells[c] = st.kit.simMean(worker, st.scheme, proto, tsrc.Split(st.label)) / float64(trials)
+	})
+	for p, proto := range protos {
+		// Each stack's sum runs in trial order, as the serial loop would.
+		var sums [3]float64
+		for c := p * perProto; c < (p+1)*perProto; c++ {
+			sums[c%len(stacks)] += cells[c]
 		}
 		t.AddRow(proto.String(),
-			fmt.Sprintf("%.1f%%", 100*ftv), fmt.Sprintf("%.1f%%", 100*jfe), fmt.Sprintf("%.1f%%", 100*jfk))
+			fmt.Sprintf("%.1f%%", 100*sums[0]), fmt.Sprintf("%.1f%%", 100*sums[1]), fmt.Sprintf("%.1f%%", 100*sums[2]))
 	}
 	t.Notes = append(t.Notes,
 		"paper row MPTCP: fat-tree 93.6%, jellyfish ECMP 76.4%, jellyfish 8SP 95.1% — ECMP lacks path diversity on jellyfish")
@@ -312,11 +319,14 @@ func Fig11PacketLevelServers(opt Options) *Table {
 		ftTp                 float64
 	}
 	w := opt.workers()
-	rows := parallel.Map(w, len(ks), func(i int) kRow {
-		k := ks[i]
-		ksrc := src.Split(fmt.Sprintf("k%d", k))
-		ftServers, jfServers, ftTp := packetLevelMaxServers(k, trials, ksrc, w)
-		return kRow{ftServers, jfServers, ftTp}
+	rows := make([]kRow, len(ks))
+	// Workers claim k from the end, so the largest (costliest) search
+	// starts first.
+	parallel.ForEach(w, len(ks), func(j int) {
+		i := len(ks) - 1 - j
+		ksrc := src.Split(fmt.Sprintf("k%d", ks[i]))
+		ftServers, jfServers, ftTp := packetLevelMaxServers(ks[i], trials, ksrc, w)
+		rows[i] = kRow{ftServers, jfServers, ftTp}
 	})
 	for i, k := range ks {
 		r := rows[i]

@@ -27,9 +27,11 @@ func Workers(n int) int {
 }
 
 // ForEach runs fn(i) for every i in [0, n) on at most Workers(workers)
-// goroutines. Tasks are claimed dynamically, so uneven task costs balance
-// across workers. With one worker (or one task) everything runs inline on
-// the calling goroutine. fn must write only to per-index state.
+// goroutines. Tasks are claimed dynamically and in index order: each idle
+// worker takes the lowest index not yet started, so uneven task costs
+// balance across workers, best when the costliest tasks have the lowest
+// indices. With one worker (or one task) everything runs inline on the
+// calling goroutine. fn must write only to per-index state.
 func ForEach(workers, n int, fn func(i int)) {
 	w := Workers(workers)
 	if w > n {
