@@ -26,8 +26,7 @@ func New(seed uint64) *Source {
 func (s *Source) Split(label string) *Source { return New(s.splitSeed(label)) }
 
 // SplitN derives an independent source for the i-th trial of the named
-// sub-component. It is seeded from Split(label)'s seed without building
-// that intermediate source.
+// sub-component, from the seed Split(label) would use.
 func (s *Source) SplitN(label string, i int) *Source {
 	return New(mix(s.splitSeed(label) ^ (0x9e3779b97f4a7c15 * uint64(i+1))))
 }
