@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -250,6 +254,77 @@ func TestChaosCancelMidSearchLeavesCachesClean(t *testing.T) {
 	deactivate()
 	if after := mustPost(t, ts.URL+chaosSyncPath, chaosSyncBody); string(after) != string(freshBytes) {
 		t.Fatalf("post-cancel response diverged from fresh server:\n fresh %s\n got   %s", freshBytes, after)
+	}
+}
+
+// pollCtx is a context whose Err counts its calls and reports
+// context.Canceled from call fireAt onward (never, when fireAt is 0).
+// Every cancellation check on the execution path — the scheduler's
+// dequeue check, the executors' re-checks and the kernels' per-phase
+// and per-round polls — goes through Err, so the count indexes every
+// point where a cancel can land.
+type pollCtx struct {
+	context.Context
+	fireAt int64
+	polls  atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if n := c.polls.Add(1); c.fireAt > 0 && n >= c.fireAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A cancel that lands at any poll — at dequeue, between trials or steps,
+// or mid-kernel inside a GK phase loop or a flow-simulation round — must
+// fail the request with context.Canceled and leave no truncated state in
+// the family:, chain: or sim: tiers: the same request on the same server
+// afterwards returns the bytes of a fresh server.
+func TestChaosCancelAtEveryPollLeavesCachesClean(t *testing.T) {
+	cases := []struct{ op, body string }{
+		{"capacity-search", chaosSyncBody},
+		{"evaluate", `{"topology":{"design":{"switches":20,"ports":8,"networkDegree":5,"seed":1}},"seed":7,"trials":2}`},
+		{"evaluate", `{"topology":{"design":{"switches":20,"ports":8,"networkDegree":5,"seed":4}},"seed":9,"trials":2,"estimator":{"kind":"sampled-mcf","sample":8}}`},
+		{"evaluate", `{"topology":{"design":{"switches":20,"ports":8,"networkDegree":5,"seed":4}},"seed":9,"trials":2,"transport":{"protocol":"mptcp8","routing":"ksp8"}}`},
+		{"whatif", `{"base":{"design":{"switches":20,"ports":8,"networkDegree":5,"seed":4}},"seed":3,"transport":{"protocol":"mptcp8"},"scenarios":[{"failLinks":{"fraction":0.05,"seed":1}}]}`},
+	}
+	for _, tc := range cases {
+		run := func(srv *Server, ctx context.Context) ([]byte, error) {
+			t.Helper()
+			for _, o := range ops {
+				if o.name == tc.op {
+					p, aerr := o.plan([]byte(tc.body))
+					if aerr != nil {
+						t.Fatalf("%s: plan: %v", tc.op, aerr)
+					}
+					resp, _, err := srv.sched.do(ctx, p, false, nil, nil)
+					return resp, err
+				}
+			}
+			t.Fatalf("no op %q", tc.op)
+			return nil, nil
+		}
+		fresh := mustNew(t, Options{Workers: 1})
+		count := &pollCtx{Context: context.Background()}
+		want, err := run(fresh, count)
+		fresh.Close()
+		if err != nil {
+			t.Fatalf("%s %s: never-firing run: %v", tc.op, tc.body, err)
+		}
+		polls := count.polls.Load()
+		t.Logf("%s %s: %d polls", tc.op, tc.body, polls)
+		for _, n := range []int64{1, 2, 3, polls / 2, polls} {
+			srv := mustNew(t, Options{Workers: 1})
+			if _, err := run(srv, &pollCtx{Context: context.Background(), fireAt: n}); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s %s: cancel at poll %d of %d returned %v, want context.Canceled", tc.op, tc.body, n, polls, err)
+			}
+			after, err := run(srv, context.Background())
+			srv.Close()
+			if err != nil || !bytes.Equal(after, want) {
+				t.Errorf("%s %s: after a cancel at poll %d of %d (err %v):\n fresh %s\n got   %s", tc.op, tc.body, n, polls, err, want, after)
+			}
+		}
 	}
 }
 
