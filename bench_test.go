@@ -8,6 +8,7 @@ package jellyfish
 // runtime) are visible.
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -178,7 +179,7 @@ func benchMaxConcurrentFlow(b *testing.B, workers int) {
 	b.ResetTimer()
 	var res mcf.Result
 	for i := 0; i < b.N; i++ {
-		res = mcf.MaxConcurrentFlow(net.Graph, pat, mcf.Options{Workers: workers})
+		res = mcf.MaxConcurrentFlow(context.Background(), net.Graph, pat, mcf.Options{Workers: workers})
 	}
 	b.ReportMetric(res.Lambda, "lambda")
 	b.ReportMetric(float64(res.Phases), "phases")

@@ -23,7 +23,7 @@
 package capsearch
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"math"
 
@@ -41,10 +41,6 @@ import (
 // public CapacitySearch entry point and the planning service — must derive
 // Traffic as rng.New(seed + TrafficSeedOffset) to probe the same instances.
 const TrafficSeedOffset = 0x5f5e100
-
-// ErrInterrupted is returned by MaxServers when Config.Interrupt stopped
-// the search before it converged (e.g. a cancelled service job).
-var ErrInterrupted = errors.New("capsearch: search interrupted")
 
 // A Family is a canonical incremental-topology family over server counts:
 // At(servers) is the base topology grown one server at a time to the
@@ -185,21 +181,12 @@ type Config struct {
 	// bracket is always confirmed by exact solves. Estimators are not
 	// safe for concurrent use — give each search its own.
 	Estimator estimate.ThroughputEstimator
-	// Interrupt, when non-nil, is polled between trial solves AND once
-	// per GK phase inside each solve (threaded into the trial solvers
-	// as mcf.Options.Interrupt); returning true abandons the search
-	// (MaxServers returns ErrInterrupted). This is the cancellation
-	// hook for long-running service jobs: a fired interrupt costs at
-	// most the GK phase in flight, and warm state stays coherent —
-	// truncated solver states are rejected by the warm-start maturity
-	// gate, and the search result is discarded outright.
-	Interrupt func() bool
 	// Probe, when non-nil, observes each completed feasibility probe in
 	// execution order — the streaming-progress hook for service jobs.
 	// The probe sequence is a deterministic function of the instance
 	// (see MaxServers), so observers see identical (servers, feasible)
 	// streams for identical searches. Probe must not mutate search
-	// state; an interrupted probe is not observed.
+	// state; a cancelled probe is not observed.
 	Probe func(servers int, feasible bool)
 	// Obs, when non-nil, receives one-way instrumentation (probe/trial
 	// spans and counts, with Obs.Solver threaded into every trial's
@@ -220,11 +207,17 @@ type Config struct {
 // worst case stays a bisection. The probe sequence — and with it every
 // warm chain — remains a deterministic function of the instance alone.
 //
-// The only possible error is ErrInterrupted (Config.Interrupt fired); a
-// search without an Interrupt hook never fails.
-func MaxServers(cfg Config) (int, error) {
+// ctx is polled between trial solves AND once per GK phase inside each
+// solve (and inside the sampled-MCF estimator's screening solves when
+// one is attached). Once ctx.Err() is non-nil the search is abandoned
+// and MaxServers returns it; that is the only possible error, so a
+// search under a never-cancelled context never fails. A cancel costs at
+// most the GK phase in flight, and warm state stays coherent: truncated
+// solver states are rejected by the warm-start maturity gate, and the
+// search result is discarded outright.
+func MaxServers(ctx context.Context, cfg Config) (int, error) {
 	p := newProber(cfg)
-	ok, err := p.feasible(cfg.Lo)
+	ok, err := p.feasible(ctx, cfg.Lo)
 	if err != nil {
 		return 0, err
 	}
@@ -235,7 +228,7 @@ func MaxServers(cfg Config) (int, error) {
 		return cfg.Lo, nil
 	}
 	loGuess := p.predict()
-	if ok, err = p.feasible(cfg.Hi); err != nil {
+	if ok, err = p.feasible(ctx, cfg.Hi); err != nil {
 		return 0, err
 	}
 	if ok {
@@ -251,7 +244,7 @@ func MaxServers(cfg Config) (int, error) {
 		if next <= lo || next >= hi {
 			next = (lo + hi) / 2
 		}
-		if ok, err = p.feasible(next); err != nil {
+		if ok, err = p.feasible(ctx, next); err != nil {
 			return 0, err
 		}
 		if ok {
@@ -285,13 +278,6 @@ func newProber(cfg Config) *prober {
 	opt := cfg.Solver
 	opt.Workers = cfg.Workers
 	opt.Obs = cfg.Obs.solverObs()
-	// Bounded-latency cancellation: the same poll the probe loop uses
-	// runs once per GK phase inside every trial solve, and inside the
-	// sampled-MCF estimator's screening solves when one is attached.
-	opt.Interrupt = cfg.Interrupt
-	if est, ok := cfg.Estimator.(estimate.Interruptible); ok && cfg.Interrupt != nil {
-		est.SetInterrupt(cfg.Interrupt)
-	}
 	p := &prober{
 		cfg:     cfg,
 		solvers: make([]*mcf.Solver, cfg.Trials),
@@ -303,24 +289,24 @@ func newProber(cfg Config) *prober {
 	return p
 }
 
-func (p *prober) feasible(servers int) (bool, error) {
+func (p *prober) feasible(ctx context.Context, servers int) (bool, error) {
 	top := p.cfg.Family.At(servers)
 	assign := p.cfg.Family.Assign(servers)
 	obsT := p.cfg.Obs.probeBegin(servers)
 	defer p.cfg.Obs.probeEnd(obsT)
 	p.last = probeStats{servers: servers, links: top.NumLinks(), lb: math.Inf(1), ub: math.Inf(1)}
 	for i := 0; i < p.cfg.Trials; i++ {
-		if p.cfg.Interrupt != nil && p.cfg.Interrupt() {
-			return false, ErrInterrupted
+		if err := ctx.Err(); err != nil {
+			return false, err
 		}
-		ok := p.trial(i, top, assign)
-		// The interrupt also threads into the trial's solver (one poll
-		// per GK phase). A truncated solve returns sound but premature
+		ok := p.trial(ctx, i, top, assign)
+		// ctx also threads into the trial's solver (one poll per GK
+		// phase). A truncated solve returns sound but premature
 		// certificates — feasible traffic could read as infeasible — so
-		// re-poll before trusting the verdict: a fired interrupt
-		// discards the tainted trial instead of misreading it.
-		if p.cfg.Interrupt != nil && p.cfg.Interrupt() {
-			return false, ErrInterrupted
+		// re-poll before trusting the verdict: a cancel discards the
+		// tainted trial instead of misreading it.
+		if err := ctx.Err(); err != nil {
+			return false, err
 		}
 		if !ok {
 			p.observe(servers, false)
@@ -369,7 +355,7 @@ func (p *prober) predict() int {
 
 // trial advances trial i's chain through the probe at the given topology,
 // reporting whether the permutation is supported at full rate.
-func (p *prober) trial(i int, top *topology.Topology, assign []int) bool {
+func (p *prober) trial(ctx context.Context, i int, top *topology.Topology, assign []int) bool {
 	if faultinject.Enabled() {
 		// Chaos hook for the panic-containment suite: the trial boundary
 		// is where a mid-probe kernel panic is injected (the panic shape;
@@ -380,7 +366,7 @@ func (p *prober) trial(i int, top *topology.Topology, assign []int) bool {
 	defer p.cfg.Obs.trialEnd()
 	comms := cycleCommodities(assign, p.cfg.Traffic.SplitN("trial", i))
 	if p.cfg.Estimator != nil {
-		b := p.cfg.Estimator.Estimate(top.Compact(), comms)
+		b := p.cfg.Estimator.Estimate(ctx, top.Compact(), comms)
 		if b.Upper < 1-p.cfg.Slack {
 			// Certified rejection: feed the estimator's bracket to the
 			// boundary predictor (the exact certificates it replaces) and
@@ -395,7 +381,7 @@ func (p *prober) trial(i int, top *topology.Topology, assign []int) bool {
 	if !p.cfg.Cold {
 		warm = p.states[i]
 	}
-	ok, st := p.solvers[i].FeasibleAtFull(top.Graph, comms, p.cfg.Slack, warm)
+	ok, st := p.solvers[i].FeasibleAtFull(ctx, top.Graph, comms, p.cfg.Slack, warm)
 	if debugProbe != nil {
 		debugProbe(len(assign), i, ok, st)
 	}

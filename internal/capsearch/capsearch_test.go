@@ -1,6 +1,7 @@
 package capsearch
 
 import (
+	"context"
 	"testing"
 
 	"jellyfish/internal/estimate"
@@ -86,7 +87,7 @@ func TestCycleCommoditiesNested(t *testing.T) {
 // chains, probe sequence, and solver are all scheduling-independent.
 func TestMaxServersWorkerInvariance(t *testing.T) {
 	run := func(workers int) int {
-		got, err := MaxServers(Config{
+		got, err := MaxServers(context.Background(), Config{
 			Lo: 20, Hi: 20 * 7,
 			Family:  testFamily(20, 8, 11),
 			Traffic: rng.New(77),
@@ -122,7 +123,7 @@ func TestWarmVsColdSameInstancesAndAgreement(t *testing.T) {
 			seen[probe{servers, trial}] = st.Lambda
 		}
 		defer func() { debugProbe = nil }()
-		res, err := MaxServers(Config{
+		res, err := MaxServers(context.Background(), Config{
 			Lo: 20, Hi: 20 * 7,
 			Family:  testFamily(20, 8, 11),
 			Traffic: rng.New(77),
@@ -178,7 +179,7 @@ func TestMaxServersEstimatorIdentity(t *testing.T) {
 		probes := 0
 		debugProbe = func(servers, trial int, ok bool, st *mcf.State) { probes++ }
 		defer func() { debugProbe = nil }()
-		got, err := MaxServers(Config{
+		got, err := MaxServers(context.Background(), Config{
 			Lo: 20, Hi: 20 * 7,
 			Family:  testFamily(20, 8, 11),
 			Traffic: rng.New(77),
@@ -217,7 +218,7 @@ func TestMaxServersInfeasibleLo(t *testing.T) {
 	// 2-port switches: the network is a perfect matching, permutation
 	// traffic across pairs is unroutable.
 	base := spreadEven(4, 2, 4, rng.New(1))
-	got, err := MaxServers(Config{
+	got, err := MaxServers(context.Background(), Config{
 		Lo: 4, Hi: 4,
 		Family:  NewFamily(base, rng.New(1).Split("grow")),
 		Traffic: rng.New(2),
@@ -231,23 +232,33 @@ func TestMaxServersInfeasibleLo(t *testing.T) {
 	}
 }
 
-// An Interrupt hook that fires mid-search abandons it with ErrInterrupted
-// — the cancellation path service jobs rely on. The hook fires after a
-// few trials so both the "interrupt between trials" and the propagation
+// pollCtx is a context whose Err reports context.Canceled once it has
+// been called more than after times.
+type pollCtx struct {
+	context.Context
+	after, calls int
+}
+
+func (c *pollCtx) Err() error {
+	c.calls++
+	if c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A context cancelled mid-search abandons it with the context's error
+// — the cancellation path service jobs rely on. The cancel lands after
+// a few polls so both the "cancel between trials" and the propagation
 // through the bisection loop are exercised.
 func TestMaxServersInterrupt(t *testing.T) {
-	calls := 0
-	_, err := MaxServers(Config{
+	_, err := MaxServers(&pollCtx{Context: context.Background(), after: 3}, Config{
 		Lo: 20, Hi: 20 * 7,
 		Family:  testFamily(20, 8, 11),
 		Traffic: rng.New(77),
 		Trials:  2, Slack: 0.03, Workers: 1,
-		Interrupt: func() bool {
-			calls++
-			return calls > 3
-		},
 	})
-	if err != ErrInterrupted {
-		t.Fatalf("interrupted search returned err=%v, want ErrInterrupted", err)
+	if err != context.Canceled {
+		t.Fatalf("cancelled search returned err=%v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -27,7 +28,7 @@ type bisectionEstimator struct {
 
 func (e *bisectionEstimator) Name() string { return "bisection" }
 
-func (e *bisectionEstimator) Estimate(t *topology.Compact, comms []mcf.Commodity) Bounds {
+func (e *bisectionEstimator) Estimate(_ context.Context, t *topology.Compact, comms []mcf.Commodity) Bounds {
 	csr := t.CSR
 	if !e.prepare(csr.N(), comms) {
 		return infinite()

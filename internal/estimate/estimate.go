@@ -15,6 +15,7 @@
 package estimate
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -37,20 +38,15 @@ type Bounds struct {
 // its arguments and the estimator's construction parameters: internal
 // randomness is re-derived from the constructor seed on every call, so
 // call order and call count never shift a result.
+//
+// Estimators that run solves (today: sampled-mcf, whose phase-capped
+// solves poll ctx once per GK phase) return early with a soundly loose
+// bracket once ctx is cancelled; callers that cancel must discard the
+// result anyway. The others ignore ctx. While ctx is live, results are
+// byte-identical for every context.
 type ThroughputEstimator interface {
 	Name() string
-	Estimate(c *topology.Compact, comms []mcf.Commodity) Bounds
-}
-
-// Interruptible is implemented by estimators whose Estimate can be
-// cooperatively cancelled mid-computation (today: sampled-mcf, whose
-// phase-capped solves poll once per GK phase). A fired interrupt makes
-// the in-flight Estimate return early with a soundly-loose bracket;
-// callers that interrupt must discard the result anyway. With the poll
-// unset — or never firing — results are byte-identical to an estimator
-// without one.
-type Interruptible interface {
-	SetInterrupt(func() bool)
+	Estimate(ctx context.Context, c *topology.Compact, comms []mcf.Commodity) Bounds
 }
 
 // Kinds lists the available estimator kinds, in documentation order.

@@ -1,6 +1,7 @@
 package estimate_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -42,10 +43,10 @@ func allKinds(t *testing.T, sample int, seed uint64) []estimate.ThroughputEstima
 func TestBracketsExactAtPaperScale(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		top, comms := paperInstance(50, 8, 5, seed)
-		exact := mcf.MaxConcurrentFlow(top.Graph, comms, mcf.Options{Workers: 1})
+		exact := mcf.MaxConcurrentFlow(context.Background(), top.Graph, comms, mcf.Options{Workers: 1})
 		compact := top.Compact()
 		for _, est := range allKinds(t, 16, seed) {
-			b := est.Estimate(compact, comms)
+			b := est.Estimate(context.Background(), compact, comms)
 			if !(b.Lower <= b.Upper+1e-9) {
 				t.Errorf("seed %d %s: inverted bounds [%v, %v]", seed, est.Name(), b.Lower, b.Upper)
 			}
@@ -76,9 +77,9 @@ func TestEstimateDeterministic(t *testing.T) {
 	for _, kind := range estimate.Kinds() {
 		a, _ := estimate.New(kind, 16, 99)
 		b, _ := estimate.New(kind, 16, 99)
-		r1 := a.Estimate(compact, comms)
-		r2 := a.Estimate(compact, comms) // scratch reuse
-		r3 := b.Estimate(compact, comms) // fresh instance
+		r1 := a.Estimate(context.Background(), compact, comms)
+		r2 := a.Estimate(context.Background(), compact, comms) // scratch reuse
+		r3 := b.Estimate(context.Background(), compact, comms) // fresh instance
 		if r1 != r2 {
 			t.Errorf("%s: repeated call diverged: %+v vs %+v", kind, r1, r2)
 		}
@@ -94,7 +95,7 @@ func TestNoEffectiveCommodities(t *testing.T) {
 	degenerate := []mcf.Commodity{{Src: 1, Dst: 1, Demand: 5}, {Src: 2, Dst: 3, Demand: 0}}
 	for _, est := range allKinds(t, 0, 1) {
 		for _, comms := range [][]mcf.Commodity{nil, degenerate} {
-			b := est.Estimate(compact, comms)
+			b := est.Estimate(context.Background(), compact, comms)
 			if !math.IsInf(b.Lower, 1) || !math.IsInf(b.Upper, 1) {
 				t.Errorf("%s: bounds %+v for no effective commodities, want +Inf", est.Name(), b)
 			}
@@ -117,7 +118,7 @@ func TestDisconnectedCommodityBounds(t *testing.T) {
 	compact := top.Compact()
 	comms := []mcf.Commodity{{Src: 0, Dst: 5, Demand: 1}}
 	for _, est := range allKinds(t, 0, 1) {
-		b := est.Estimate(compact, comms)
+		b := est.Estimate(context.Background(), compact, comms)
 		if b.Lower != 0 || b.Upper != 0 {
 			t.Errorf("%s: bounds %+v for disconnected commodity, want [0, 0]", est.Name(), b)
 		}
@@ -127,13 +128,13 @@ func TestDisconnectedCommodityBounds(t *testing.T) {
 // Small subsample sizes must still produce sound (if loose) bounds.
 func TestSampledSmallSample(t *testing.T) {
 	top, comms := paperInstance(50, 8, 5, 11)
-	exact := mcf.MaxConcurrentFlow(top.Graph, comms, mcf.Options{Workers: 1})
+	exact := mcf.MaxConcurrentFlow(context.Background(), top.Graph, comms, mcf.Options{Workers: 1})
 	for _, sample := range []int{1, 4, 1 << 20} {
 		est, err := estimate.New("sampled-mcf", sample, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := est.Estimate(top.Compact(), comms)
+		b := est.Estimate(context.Background(), top.Compact(), comms)
 		if b.Lower > exact.UpperBound+1e-9 || exact.Lambda > b.Upper+1e-9 {
 			t.Errorf("sample %d: exact [%v, %v] outside bracket [%v, %v]",
 				sample, exact.Lambda, exact.UpperBound, b.Lower, b.Upper)
@@ -154,7 +155,7 @@ func benchEstimate(b *testing.B, kind string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bounds := est.Estimate(compact, comms)
+		bounds := est.Estimate(context.Background(), compact, comms)
 		if bounds.Lower <= 0 {
 			b.Fatalf("vacuous bounds %+v", bounds)
 		}
@@ -190,7 +191,7 @@ func TestScaleSmoke(t *testing.T) {
 
 	for _, est := range allKinds(t, 0, 5) {
 		estStart := time.Now()
-		b := est.Estimate(compact, comms)
+		b := est.Estimate(context.Background(), compact, comms)
 		d := time.Since(estStart)
 		t.Logf("%s: [%v, %v] in %v (upper: %s)", est.Name(), b.Lower, b.Upper, d, b.UpperCert)
 		if d > 60*time.Second {

@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -25,15 +26,10 @@ import (
 // certificate callers can replay.
 type sampledEstimator struct {
 	core
-	sample    int
-	sub       []mcf.Commodity
-	idx       []int
-	interrupt func() bool
+	sample int
+	sub    []mcf.Commodity
+	idx    []int
 }
-
-// SetInterrupt installs the cooperative cancellation poll threaded into
-// this estimator's phase-capped solves (see estimate.Interruptible).
-func (e *sampledEstimator) SetInterrupt(f func() bool) { e.interrupt = f }
 
 // solveOptions is the coarse solver configuration for estimator
 // solves. The GK dual certificate is valid at every phase, not only at
@@ -41,13 +37,11 @@ func (e *sampledEstimator) SetInterrupt(f func() bool) { e.interrupt = f }
 // bounds sound — the bracket just gets looser. The cap is what holds the
 // estimator to interactive latency at megascale (a default 3000-phase
 // solve on a 10k-switch instance runs minutes; 64 phases runs seconds).
-func (e *sampledEstimator) solveOptions() mcf.Options {
-	return mcf.Options{Workers: 1, Epsilon: 0.25, Tol: 0.1, MaxPhases: 64, Interrupt: e.interrupt}
-}
+var solveOptions = mcf.Options{Workers: 1, Epsilon: 0.25, Tol: 0.1, MaxPhases: 64}
 
 func (e *sampledEstimator) Name() string { return "sampled-mcf" }
 
-func (e *sampledEstimator) Estimate(t *topology.Compact, comms []mcf.Commodity) Bounds {
+func (e *sampledEstimator) Estimate(ctx context.Context, t *topology.Compact, comms []mcf.Commodity) Bounds {
 	csr := t.CSR
 	if !e.prepare(csr.N(), comms) {
 		return infinite()
@@ -66,7 +60,7 @@ func (e *sampledEstimator) Estimate(t *topology.Compact, comms []mcf.Commodity) 
 	if k == len(e.eff) {
 		// Subsample is the whole instance: the (phase-capped) solve runs
 		// on the full program, so both certificates come from it.
-		res := mcf.MaxConcurrentFlowCSR(csr, e.eff, e.solveOptions())
+		res := mcf.MaxConcurrentFlowCSR(ctx, csr, e.eff, solveOptions)
 		if res.UpperBound < upper {
 			upper = res.UpperBound
 			upperCert = fmt.Sprintf("MCF dual (all %d commodities)", len(e.eff))
@@ -98,7 +92,7 @@ func (e *sampledEstimator) Estimate(t *topology.Compact, comms []mcf.Commodity) 
 	for _, i := range e.idx {
 		e.sub = append(e.sub, e.eff[i])
 	}
-	res := mcf.MaxConcurrentFlowCSR(csr, e.sub, e.solveOptions())
+	res := mcf.MaxConcurrentFlowCSR(ctx, csr, e.sub, solveOptions)
 	if res.UpperBound < upper {
 		upper = res.UpperBound
 		upperCert = fmt.Sprintf("MCF dual on seeded subsample (%d of %d commodities, seed %d); λ*(full) ≤ λ*(subsample) ≤ dual",

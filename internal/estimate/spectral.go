@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -36,7 +37,7 @@ type spectralEstimator struct {
 
 func (e *spectralEstimator) Name() string { return "spectral" }
 
-func (e *spectralEstimator) Estimate(t *topology.Compact, comms []mcf.Commodity) Bounds {
+func (e *spectralEstimator) Estimate(_ context.Context, t *topology.Compact, comms []mcf.Commodity) Bounds {
 	csr := t.CSR
 	if !e.prepare(csr.N(), comms) {
 		return infinite()

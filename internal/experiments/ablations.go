@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"jellyfish/internal/capsearch"
@@ -96,7 +97,7 @@ func AblationOversubscription(opt Options) *Table {
 			st = nil
 		}
 		var res mcf.Result
-		res, st = sv.Solve(top.Graph, pat.Commodities(), st)
+		res, st = sv.Solve(context.Background(), top.Graph, pat.Commodities(), st)
 		tps[i] = metrics.Clamp01(res.Lambda)
 	}
 	for i, srv := range srvs {
@@ -232,7 +233,7 @@ func AblationSwitchFailures(opt Options) *Table {
 				st = nil
 			}
 			var res mcf.Result
-			res, st = sv.Solve(top.Graph, pat.Commodities(), st)
+			res, st = sv.Solve(context.Background(), top.Graph, pat.Commodities(), st)
 			out.surv[fi] = top.NumServers()
 			out.tp[fi] = metrics.Clamp01(res.Lambda) / float64(trials)
 		}
@@ -270,7 +271,7 @@ func AblationAllToAll(opt Options) *Table {
 	w := opt.workers()
 	eval := func(top *topology.Topology) float64 {
 		comms := traffic.AllToAll(top.ServerSwitches())
-		res := mcf.MaxConcurrentFlow(top.Graph, comms, mcf.Options{Workers: w})
+		res := mcf.MaxConcurrentFlow(context.Background(), top.Graph, comms, mcf.Options{Workers: w})
 		return metrics.Clamp01(res.Lambda)
 	}
 	tps := parallel.Map(w, 2, func(i int) float64 {
@@ -384,7 +385,7 @@ func AblationHotspot(opt Options) *Table {
 				st = nil
 			}
 			var res mcf.Result
-			res, st = sv.Solve(top.Graph, pat.Commodities(), st)
+			res, st = sv.Solve(context.Background(), top.Graph, pat.Commodities(), st)
 			out[fi] = metrics.Clamp01(res.Lambda) / float64(trials)
 		}
 		return out

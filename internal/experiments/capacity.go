@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"jellyfish/internal/bisection"
@@ -17,7 +18,7 @@ import (
 // topology under one random permutation.
 func mcfThroughput(t *topology.Topology, src *rng.Source, workers int) float64 {
 	pat := traffic.RandomPermutation(t.ServerSwitches(), src)
-	res := mcf.MaxConcurrentFlow(t.Graph, pat.Commodities(), mcf.Options{Workers: workers})
+	res := mcf.MaxConcurrentFlow(context.Background(), t.Graph, pat.Commodities(), mcf.Options{Workers: workers})
 	return metrics.Clamp01(res.Lambda)
 }
 
@@ -232,8 +233,8 @@ func Fig2cServersAtFullThroughput(opt Options) *Table {
 		switches := ft.NumSwitches()
 		ftServers := ft.NumServers()
 		ksrc := src.Split(fmt.Sprintf("k%d", k))
-		// No Interrupt hook configured, so MaxServers cannot fail.
-		jfServers, _ := capsearch.MaxServers(capsearch.Config{
+		// The context is never cancelled, so MaxServers cannot fail.
+		jfServers, _ := capsearch.MaxServers(context.Background(), capsearch.Config{
 			Lo:      ftServers,
 			Hi:      switches * (k - 1),
 			Family:  capsearch.NewFamily(spread(switches, k, ftServers, ksrc.SplitN("topo", ftServers)), ksrc.Split("grow")),

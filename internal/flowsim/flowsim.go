@@ -41,6 +41,7 @@
 package flowsim
 
 import (
+	"context"
 	"fmt"
 
 	"jellyfish/internal/resarena"
@@ -167,20 +168,7 @@ type Sim struct {
 
 	rates []float64
 	local []bool
-
-	// interrupt, when set, is polled once per filling round; a firing
-	// poll stops the simulation early with partial rates. Callers that
-	// interrupt must discard the Result (the service checks ctx.Err()
-	// after every kernel call). Nil — or never firing — leaves results
-	// byte-identical; the poll itself allocates nothing.
-	interrupt func() bool
 }
-
-// SetInterrupt installs (nil clears) the cooperative cancellation poll
-// (see the interrupt field). Confinement note: a Sim cached as warm
-// state is owned by one shard worker, which sets the poll before a job
-// and clears it after — never concurrently with Simulate.
-func (s *Sim) SetInterrupt(f func() bool) { s.interrupt = f }
 
 // NewSim returns a Sim pre-sized for the given switch and server counts.
 // Both are lower bounds — the arena grows on demand — so a Sim built for
@@ -200,14 +188,24 @@ func NewSim(switches, servers int) *Sim {
 // until the next Simulate call on this Sim. Callers that retain rates
 // across calls must copy them. src may be nil for MPTCP8 (see the
 // package comment's random-stream contract).
+func (s *Sim) Simulate(flows []traffic.Flow, table *routing.Table, proto Protocol, src *rng.Source) Result {
+	return s.SimulateContext(context.Background(), flows, table, proto, src)
+}
+
+// SimulateContext is Simulate with cancellation: ctx is polled once per
+// filling round, and once ctx.Err() is non-nil the simulation stops
+// early with partial rates. Callers that cancel must discard the Result
+// (the service checks ctx.Err() after every kernel call). While ctx is
+// live, results are byte-identical to Simulate; the poll itself
+// allocates nothing.
 //
 //jellyvet:hotpath
-func (s *Sim) Simulate(flows []traffic.Flow, table *routing.Table, proto Protocol, src *rng.Source) Result {
+func (s *Sim) SimulateContext(ctx context.Context, flows []traffic.Flow, table *routing.Table, proto Protocol, src *rng.Source) Result {
 	s.beginCall(len(flows))
 	if proto == MPTCP8 {
-		return s.simulateCoupled(flows, table)
+		return s.simulateCoupled(ctx, flows, table)
 	}
-	return s.simulateSubflows(flows, table, proto, src)
+	return s.simulateSubflows(ctx, flows, table, proto, src)
 }
 
 // Simulate is the one-shot form: it builds a throwaway Sim, so the result
@@ -297,7 +295,7 @@ func (s *Sim) appendPathResources(dst []int32, f *traffic.Flow, p []int) []int32
 // live subflows are compacted out of the scan set as they drain.
 //
 //jellyvet:hotpath
-func (s *Sim) simulateSubflows(flows []traffic.Flow, table *routing.Table, proto Protocol, src *rng.Source) Result {
+func (s *Sim) simulateSubflows(ctx context.Context, flows []traffic.Flow, table *routing.Table, proto Protocol, src *rng.Source) Result {
 	s.subFlow = s.subFlow[:0]
 	s.subResIDs = s.subResIDs[:0]
 	s.subResStart = append(s.subResStart[:0], 0) //jellyvet:allow hotpath -- grows Sim-owned scratch reused across calls; steady state is zero-alloc (TestTransportZeroAllocs)
@@ -358,7 +356,7 @@ func (s *Sim) simulateSubflows(flows []traffic.Flow, table *routing.Table, proto
 	level := 0.0
 	remaining := nsub
 	for remaining > 0 {
-		if s.interrupt != nil && s.interrupt() {
+		if ctx.Err() != nil {
 			break // cancelled: partial rates, discarded by the caller
 		}
 		// Bottleneck increment over live resources, compacting out the
@@ -455,7 +453,7 @@ func (s *Sim) clampUnfrozenSubflows(level float64, remaining int) {
 // randomness (see the package comment's stream contract).
 //
 //jellyvet:hotpath
-func (s *Sim) simulateCoupled(flows []traffic.Flow, table *routing.Table) Result {
+func (s *Sim) simulateCoupled(ctx context.Context, flows []traffic.Flow, table *routing.Table) Result {
 	s.pathResIDs = s.pathResIDs[:0]
 	s.pathResStart = append(s.pathResStart[:0], 0) //jellyvet:allow hotpath -- grows Sim-owned scratch reused across calls; steady state is zero-alloc (TestTransportZeroAllocs)
 	s.flowPathStart = resarena.Grow(s.flowPathStart, len(flows)+1)
@@ -500,7 +498,7 @@ func (s *Sim) simulateCoupled(flows []traffic.Flow, table *routing.Table) Result
 		if rounds > roundCap {
 			break // numerical safety net; never reached in practice
 		}
-		if s.interrupt != nil && s.interrupt() {
+		if ctx.Err() != nil {
 			break // cancelled: partial rates, discarded by the caller
 		}
 		// Recompute active routes and per-resource counts.

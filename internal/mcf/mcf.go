@@ -26,6 +26,7 @@
 package mcf
 
 import (
+	"context"
 	"math"
 	"slices"
 
@@ -61,17 +62,6 @@ type Options struct {
 	// influences the computation: results are byte-identical with or
 	// without it. See mcf.Obs.
 	Obs *Obs
-	// Interrupt, when non-nil, is polled once per GK phase; when it
-	// returns true the solve stops before starting another phase and
-	// returns the certificates accumulated so far. This bounds
-	// cancellation latency to a single phase (DESIGN.md §16). The poll
-	// is allocation-free and, while Interrupt keeps returning false,
-	// has no effect on the computation — results are byte-identical to
-	// a solve without it. A truncated result is NOT marked: callers
-	// that interrupt must discard the result themselves (the service
-	// checks ctx.Err() after every kernel call), and warm-start chains
-	// are safe regardless because seedWarm rejects unconverged states.
-	Interrupt func() bool
 }
 
 func (o Options) withDefaults() Options {
@@ -110,8 +100,18 @@ type Result struct {
 // commodities over the switch graph g. Commodities with Src == Dst or
 // Demand <= 0 are ignored (they consume no network capacity). If there are
 // no effective commodities the result has Lambda = +Inf.
-func MaxConcurrentFlow(g *graph.Graph, comms []Commodity, opt Options) Result {
-	return MaxConcurrentFlowCSR(g.CSR(), comms, opt)
+//
+// ctx is polled once per GK phase; once ctx.Err() is non-nil the solve
+// stops before starting another phase and returns the certificates
+// accumulated so far. This bounds cancellation latency to a single
+// phase (DESIGN.md §16). The poll is allocation-free and, while ctx is
+// live, has no effect on the computation: results are byte-identical
+// for every never-cancelled context. A truncated result is NOT marked:
+// callers that cancel must discard the result themselves (the service
+// checks ctx.Err() after every kernel call), and warm-start chains are
+// safe regardless because seedWarm rejects unconverged states.
+func MaxConcurrentFlow(ctx context.Context, g *graph.Graph, comms []Commodity, opt Options) Result {
+	return MaxConcurrentFlowCSR(ctx, g.CSR(), comms, opt)
 }
 
 // MaxConcurrentFlowCSR is MaxConcurrentFlow over a compact adjacency
@@ -120,13 +120,13 @@ func MaxConcurrentFlow(g *graph.Graph, comms []Commodity, opt Options) Result {
 // estimate package) avoid touching the mutable graph entirely, and
 // repeated solves on the identical snapshot pointer skip the edge-set
 // comparison a fresh Graph would require.
-func MaxConcurrentFlowCSR(csr *graph.CSR, comms []Commodity, opt Options) Result {
+func MaxConcurrentFlowCSR(ctx context.Context, csr *graph.CSR, comms []Commodity, opt Options) Result {
 	opt = opt.withDefaults()
 	s := newSolver(csr, comms, opt)
 	if s == nil {
 		return Result{Lambda: math.Inf(1), UpperBound: math.Inf(1)}
 	}
-	return s.run()
+	return s.run(ctx)
 }
 
 // FeasibleAtFull reports whether all commodities can be routed at full
@@ -141,7 +141,7 @@ func FeasibleAtFull(g *graph.Graph, comms []Commodity, opt Options, slack float6
 	}
 	s.earlyAccept = 1 - slack
 	s.earlyReject = 1 - slack
-	res := s.run()
+	res := s.run(context.Background())
 	return res.Lambda >= 1-slack
 }
 
@@ -462,7 +462,7 @@ func resizeInt(buf []int, n int) []int {
 	return buf[:n]
 }
 
-func (s *solver) run() Result {
+func (s *solver) run(ctx context.Context) Result {
 	if len(s.edges) == 0 {
 		// No links at all but demands exist: nothing routable.
 		return Result{Lambda: 0, UpperBound: 0}
@@ -477,7 +477,7 @@ func (s *solver) run() Result {
 		// Cooperative cancellation: one poll per phase, so a cancel is
 		// observed after at most the phase in flight completes. Both
 		// certificates remain valid at any stopping point.
-		if s.opt.Interrupt != nil && s.opt.Interrupt() {
+		if ctx.Err() != nil {
 			break
 		}
 		phases++

@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,7 +42,7 @@ func check(t *testing.T, res Result, wantLambda, tol float64) {
 func TestSingleCommoditySingleEdge(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
-	res := MaxConcurrentFlow(g, []Commodity{{0, 1, 1}}, Options{})
+	res := MaxConcurrentFlow(context.Background(), g, []Commodity{{0, 1, 1}}, Options{})
 	// One unit-capacity edge, one unit demand: λ = 1.
 	check(t, res, 1.0, 0.08)
 }
@@ -49,14 +50,14 @@ func TestSingleCommoditySingleEdge(t *testing.T) {
 func TestOversubscribedEdge(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
-	res := MaxConcurrentFlow(g, []Commodity{{0, 1, 4}}, Options{})
+	res := MaxConcurrentFlow(context.Background(), g, []Commodity{{0, 1, 4}}, Options{})
 	check(t, res, 0.25, 0.08)
 }
 
 func TestTwoDisjointPathsDoubleCapacity(t *testing.T) {
 	// Ring of 4: 0 to 2 has two vertex-disjoint 2-hop paths, λ = 2 for
 	// demand 1 (both paths carry 1 unit each).
-	res := MaxConcurrentFlow(ring(4), []Commodity{{0, 2, 1}}, Options{})
+	res := MaxConcurrentFlow(context.Background(), ring(4), []Commodity{{0, 2, 1}}, Options{})
 	check(t, res, 2.0, 0.08)
 }
 
@@ -64,7 +65,7 @@ func TestDisconnectedCommodity(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 3)
-	res := MaxConcurrentFlow(g, []Commodity{{0, 3, 1}}, Options{})
+	res := MaxConcurrentFlow(context.Background(), g, []Commodity{{0, 3, 1}}, Options{})
 	if res.Lambda != 0 {
 		t.Fatalf("lambda = %v for disconnected commodity, want 0", res.Lambda)
 	}
@@ -78,7 +79,7 @@ func TestDisconnectedCommodity(t *testing.T) {
 func TestDisconnectedResultFlowFeasible(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1)
-	res := MaxConcurrentFlow(g, []Commodity{{0, 1, 3}, {2, 3, 1}}, Options{})
+	res := MaxConcurrentFlow(context.Background(), g, []Commodity{{0, 1, 3}, {2, 3, 1}}, Options{})
 	if res.Lambda != 0 {
 		t.Fatalf("lambda = %v with a disconnected commodity, want 0", res.Lambda)
 	}
@@ -167,13 +168,13 @@ func TestObsDoesNotPerturbResult(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		comms = append(comms, Commodity{i, (i + 3) % 8, 1})
 	}
-	bare := MaxConcurrentFlow(g, comms, Options{Workers: 1})
+	bare := MaxConcurrentFlow(context.Background(), g, comms, Options{Workers: 1})
 	obs := &Obs{
 		Phases:   &telemetry.Counter{},
 		PhaseDur: &telemetry.Histogram{},
 		Rec:      telemetry.NewRecorder(128),
 	}
-	inst := MaxConcurrentFlow(g, comms, Options{Workers: 1, Obs: obs})
+	inst := MaxConcurrentFlow(context.Background(), g, comms, Options{Workers: 1, Obs: obs})
 	if bare.Lambda != inst.Lambda || bare.UpperBound != inst.UpperBound || bare.Phases != inst.Phases {
 		t.Fatalf("telemetry perturbed the solve: bare %+v vs instrumented %+v",
 			Result{Lambda: bare.Lambda, UpperBound: bare.UpperBound, Phases: bare.Phases},
@@ -185,21 +186,21 @@ func TestObsDoesNotPerturbResult(t *testing.T) {
 }
 
 func TestNoCommodities(t *testing.T) {
-	res := MaxConcurrentFlow(ring(4), nil, Options{})
+	res := MaxConcurrentFlow(context.Background(), ring(4), nil, Options{})
 	if !math.IsInf(res.Lambda, 1) {
 		t.Fatalf("lambda = %v with no commodities, want +Inf", res.Lambda)
 	}
 }
 
 func TestSelfCommodityIgnored(t *testing.T) {
-	res := MaxConcurrentFlow(ring(4), []Commodity{{1, 1, 5}}, Options{})
+	res := MaxConcurrentFlow(context.Background(), ring(4), []Commodity{{1, 1, 5}}, Options{})
 	if !math.IsInf(res.Lambda, 1) {
 		t.Fatalf("lambda = %v with only self-commodity, want +Inf", res.Lambda)
 	}
 }
 
 func TestZeroDemandIgnored(t *testing.T) {
-	res := MaxConcurrentFlow(ring(4), []Commodity{{0, 2, 0}}, Options{})
+	res := MaxConcurrentFlow(context.Background(), ring(4), []Commodity{{0, 2, 0}}, Options{})
 	if !math.IsInf(res.Lambda, 1) {
 		t.Fatalf("lambda = %v with zero demand, want +Inf", res.Lambda)
 	}
@@ -215,7 +216,7 @@ func TestRingUniformPermutation(t *testing.T) {
 	// λ; so λ = 1.
 	g := ring(4)
 	comms := []Commodity{{0, 2, 1}, {1, 3, 1}, {2, 0, 1}, {3, 1, 1}}
-	res := MaxConcurrentFlow(g, comms, Options{})
+	res := MaxConcurrentFlow(context.Background(), g, comms, Options{})
 	check(t, res, 1.0, 0.08)
 }
 
@@ -230,7 +231,7 @@ func TestCompleteGraphPermutation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		comms = append(comms, Commodity{i, (i + 1) % n, 1})
 	}
-	res := MaxConcurrentFlow(g, comms, Options{})
+	res := MaxConcurrentFlow(context.Background(), g, comms, Options{})
 	if res.Lambda < 2 {
 		t.Fatalf("K6 cyclic permutation lambda = %v, want >= 2", res.Lambda)
 	}
@@ -248,7 +249,7 @@ func TestStarBottleneck(t *testing.T) {
 		g.AddEdge(0, v)
 	}
 	comms := []Commodity{{1, 2, 1}, {3, 4, 1}}
-	res := MaxConcurrentFlow(g, comms, Options{})
+	res := MaxConcurrentFlow(context.Background(), g, comms, Options{})
 	check(t, res, 1.0, 0.08)
 }
 
@@ -259,14 +260,14 @@ func TestStarOversubscribed(t *testing.T) {
 		g.AddEdge(0, v)
 	}
 	comms := []Commodity{{1, 2, 1}, {1, 3, 1}}
-	res := MaxConcurrentFlow(g, comms, Options{})
+	res := MaxConcurrentFlow(context.Background(), g, comms, Options{})
 	check(t, res, 0.5, 0.08)
 }
 
 func TestLinkCapacityScales(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
-	res := MaxConcurrentFlow(g, []Commodity{{0, 1, 1}}, Options{LinkCapacity: 10})
+	res := MaxConcurrentFlow(context.Background(), g, []Commodity{{0, 1, 1}}, Options{LinkCapacity: 10})
 	check(t, res, 10.0, 0.08)
 }
 
@@ -303,7 +304,7 @@ func TestCertificatesBracketOnRandomInstances(t *testing.T) {
 				comms = append(comms, Commodity{i, p, 1})
 			}
 		}
-		res := MaxConcurrentFlow(g, comms, Options{})
+		res := MaxConcurrentFlow(context.Background(), g, comms, Options{})
 		if res.Lambda <= 0 {
 			t.Fatalf("trial %d: lambda = %v on connected instance", trial, res.Lambda)
 		}
@@ -323,7 +324,7 @@ func TestArcFlowFeasibility(t *testing.T) {
 	g := ring(6)
 	comms := []Commodity{{0, 3, 1}, {1, 4, 1}, {2, 5, 1}}
 	opt := Options{}.withDefaults()
-	res := MaxConcurrentFlow(g, comms, Options{})
+	res := MaxConcurrentFlow(context.Background(), g, comms, Options{})
 	for i, f := range res.ArcFlow {
 		if f > opt.LinkCapacity+1e-6 {
 			t.Fatalf("arc %d flow %v exceeds capacity", i, f)
@@ -334,8 +335,8 @@ func TestArcFlowFeasibility(t *testing.T) {
 func TestTighterEpsilonTightensGap(t *testing.T) {
 	g := ring(8)
 	comms := []Commodity{{0, 4, 1}, {2, 6, 1}}
-	loose := MaxConcurrentFlow(g, comms, Options{Epsilon: 0.3, Tol: 0.15})
-	tight := MaxConcurrentFlow(g, comms, Options{Epsilon: 0.05, Tol: 0.01, MaxPhases: 20000})
+	loose := MaxConcurrentFlow(context.Background(), g, comms, Options{Epsilon: 0.3, Tol: 0.15})
+	tight := MaxConcurrentFlow(context.Background(), g, comms, Options{Epsilon: 0.05, Tol: 0.01, MaxPhases: 20000})
 	gapL := (loose.UpperBound - loose.Lambda) / loose.UpperBound
 	gapT := (tight.UpperBound - tight.Lambda) / tight.UpperBound
 	if gapT > gapL+1e-9 {
@@ -353,28 +354,40 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	custom := Options{Epsilon: 0.2, Tol: 0.01, MaxPhases: 7, LinkCapacity: 4}.withDefaults()
 	if custom.Epsilon != 0.2 || custom.Tol != 0.01 || custom.MaxPhases != 7 || custom.LinkCapacity != 4 ||
-		custom.Workers != 0 || custom.Obs != nil || custom.Interrupt != nil {
+		custom.Workers != 0 || custom.Obs != nil {
 		t.Fatalf("custom options overwritten: %+v", custom)
 	}
 }
 
+// pollCtx is a context whose Err reports context.Canceled from its
+// fireAt-th call onward.
+type pollCtx struct {
+	context.Context
+	fireAt, polls int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls >= c.fireAt {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestInterruptPhaseBound pins the documented cancellation-latency
-// bound (DESIGN.md §16): an interrupt that fires from the Nth poll
-// onward stops the solve after at most N phases — the poll runs before
-// every phase, so only the phase in flight can complete after a fire.
+// bound (DESIGN.md §16): a context cancelled from the Nth poll onward
+// stops the solve after at most N phases — the poll runs before every
+// phase, so only the phase in flight can complete after a cancel.
 func TestInterruptPhaseBound(t *testing.T) {
 	g := ring(8)
 	comms := []Commodity{{0, 4, 1}, {1, 5, 1}, {2, 6, 1}}
-	base := MaxConcurrentFlow(g, comms, Options{Tol: 1e-6, Epsilon: 0.02})
+	base := MaxConcurrentFlow(context.Background(), g, comms, Options{Tol: 1e-6, Epsilon: 0.02})
 	if base.Phases < 20 {
 		t.Fatalf("instance too easy to exercise interruption: %d phases", base.Phases)
 	}
 	for _, fireAt := range []int{1, 3, 10} {
-		polls := 0
-		res := MaxConcurrentFlow(g, comms, Options{
-			Tol: 1e-6, Epsilon: 0.02,
-			Interrupt: func() bool { polls++; return polls >= fireAt },
-		})
+		ctx := &pollCtx{Context: context.Background(), fireAt: fireAt}
+		res := MaxConcurrentFlow(ctx, g, comms, Options{Tol: 1e-6, Epsilon: 0.02})
 		if res.Phases > fireAt {
 			t.Fatalf("interrupt at poll %d: solve ran %d phases, bound is %d", fireAt, res.Phases, fireAt)
 		}
@@ -386,15 +399,15 @@ func TestInterruptPhaseBound(t *testing.T) {
 }
 
 // TestInterruptNeverFiringIsByteIdentical pins the faults-off identity
-// argument: a poll that never fires changes nothing about the solve.
+// argument: a cancellable context that is never cancelled changes
+// nothing about the solve.
 func TestInterruptNeverFiringIsByteIdentical(t *testing.T) {
 	g := ring(8)
 	comms := []Commodity{{0, 4, 1}, {1, 5, 1}, {2, 6, 1}}
-	plain := MaxConcurrentFlow(g, comms, Options{Tol: 1e-6, Epsilon: 0.02})
-	polled := MaxConcurrentFlow(g, comms, Options{
-		Tol: 1e-6, Epsilon: 0.02,
-		Interrupt: func() bool { return false },
-	})
+	plain := MaxConcurrentFlow(context.Background(), g, comms, Options{Tol: 1e-6, Epsilon: 0.02})
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	polled := MaxConcurrentFlow(live, g, comms, Options{Tol: 1e-6, Epsilon: 0.02})
 	if plain.Lambda != polled.Lambda || plain.UpperBound != polled.UpperBound || plain.Phases != polled.Phases {
 		t.Fatalf("never-firing interrupt perturbed the solve: %+v vs %+v", plain, polled)
 	}
@@ -408,7 +421,7 @@ func TestInterruptNeverFiringIsByteIdentical(t *testing.T) {
 func TestMaxPhasesCapRespected(t *testing.T) {
 	g := ring(8)
 	comms := []Commodity{{0, 4, 1}, {1, 5, 1}, {2, 6, 1}}
-	res := MaxConcurrentFlow(g, comms, Options{MaxPhases: 3, Tol: 1e-9, Epsilon: 0.01})
+	res := MaxConcurrentFlow(context.Background(), g, comms, Options{MaxPhases: 3, Tol: 1e-9, Epsilon: 0.01})
 	if res.Phases > 3 {
 		t.Fatalf("phases = %d, cap was 3", res.Phases)
 	}
@@ -432,7 +445,7 @@ func TestFeasibleAtFullWithCapacity(t *testing.T) {
 
 func TestResultEdgesIndexing(t *testing.T) {
 	g := ring(4)
-	res := MaxConcurrentFlow(g, []Commodity{{0, 2, 1}}, Options{})
+	res := MaxConcurrentFlow(context.Background(), g, []Commodity{{0, 2, 1}}, Options{})
 	if len(res.Edges) != 4 || len(res.ArcFlow) != 8 {
 		t.Fatalf("edges=%d arcs=%d, want 4, 8", len(res.Edges), len(res.ArcFlow))
 	}
@@ -465,9 +478,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 	for u := 0; u < 24; u++ {
 		comms = append(comms, Commodity{u, (u + 7) % 24, 1 + float64(r.Intn(3))})
 	}
-	base := MaxConcurrentFlow(g, comms, Options{Workers: 1})
+	base := MaxConcurrentFlow(context.Background(), g, comms, Options{Workers: 1})
 	for _, w := range []int{2, 8} {
-		res := MaxConcurrentFlow(g, comms, Options{Workers: w})
+		res := MaxConcurrentFlow(context.Background(), g, comms, Options{Workers: w})
 		if res.Lambda != base.Lambda || res.UpperBound != base.UpperBound || res.Phases != base.Phases {
 			t.Fatalf("workers=%d: (λ=%v ub=%v phases=%d) != serial (λ=%v ub=%v phases=%d)",
 				w, res.Lambda, res.UpperBound, res.Phases, base.Lambda, base.UpperBound, base.Phases)

@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"context"
 	"math"
 
 	"jellyfish/internal/graph"
@@ -94,13 +95,6 @@ func NewSolver(opt Options) *Solver {
 	return &Solver{opt: opt.withDefaults()}
 }
 
-// SetInterrupt installs (nil clears) the cooperative cancellation poll
-// applied to every subsequent Solve through this handle — see
-// Options.Interrupt. Callers that interrupt a solve must discard its
-// Result and State; the warm-start maturity gate would reject the
-// truncated State anyway, so a chain cannot be poisoned by one.
-func (sv *Solver) SetInterrupt(f func() bool) { sv.opt.Interrupt = f }
-
 // Solve computes the maximum concurrent flow for the instance, optionally
 // warm-started from a State produced by a previous solve on a related
 // instance (same or mildly perturbed graph, any commodity set). A nil
@@ -112,27 +106,32 @@ func (sv *Solver) SetInterrupt(f func() bool) { sv.opt.Interrupt = f }
 // chain. Like MaxConcurrentFlow, an instance with no effective
 // commodities yields Lambda = +Inf; the input warm state is passed
 // through unchanged so a degenerate point never breaks a chain.
-func (sv *Solver) Solve(g *graph.Graph, comms []Commodity, warm *State) (Result, *State) {
-	return sv.solve(g, comms, warm, 0, 0)
+//
+// ctx is polled once per GK phase, as in MaxConcurrentFlow. Callers that
+// cancel a solve must discard its Result and State; the warm-start
+// maturity gate would reject the truncated State anyway, so a chain
+// cannot be poisoned by one.
+func (sv *Solver) Solve(ctx context.Context, g *graph.Graph, comms []Commodity, warm *State) (Result, *State) {
+	return sv.solve(ctx, g, comms, warm, 0, 0)
 }
 
 // FeasibleAtFull is the warm-started analogue of the package-level
 // FeasibleAtFull: it reports whether all commodities can be routed at
 // full demand (λ ≥ 1-slack), using certificates to answer early in
 // either direction, and returns the warm snapshot for the next probe.
-func (sv *Solver) FeasibleAtFull(g *graph.Graph, comms []Commodity, slack float64, warm *State) (bool, *State) {
-	res, st := sv.solve(g, comms, warm, 1-slack, 1-slack)
+func (sv *Solver) FeasibleAtFull(ctx context.Context, g *graph.Graph, comms []Commodity, slack float64, warm *State) (bool, *State) {
+	res, st := sv.solve(ctx, g, comms, warm, 1-slack, 1-slack)
 	return res.Lambda >= 1-slack, st
 }
 
-func (sv *Solver) solve(g *graph.Graph, comms []Commodity, warm *State, accept, reject float64) (Result, *State) {
+func (sv *Solver) solve(ctx context.Context, g *graph.Graph, comms []Commodity, warm *State, accept, reject float64) (Result, *State) {
 	if !sv.s.init(g.CSR(), comms, sv.opt) {
 		return Result{Lambda: math.Inf(1), UpperBound: math.Inf(1)}, warm
 	}
 	sv.s.restart = true
 	sv.s.earlyAccept, sv.s.earlyReject = accept, reject
 	sv.s.seedWarm(warm) // after the thresholds: the maturity gate reads them
-	res := sv.s.run()
+	res := sv.s.run(ctx)
 	st := &State{
 		edges:      sv.s.edges,
 		length:     append([]float64(nil), sv.s.length...),

@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,8 +57,8 @@ func TestWarmResolveSameInstance(t *testing.T) {
 	g := regularish(40, 8, 1)
 	comms := permComms(40, 2, 2)
 	sv := NewSolver(Options{Workers: 1})
-	cold, st := sv.Solve(g, comms, nil)
-	warm, _ := sv.Solve(g, comms, st)
+	cold, st := sv.Solve(context.Background(), g, comms, nil)
+	warm, _ := sv.Solve(context.Background(), g, comms, st)
 	assertAgree(t, cold, warm)
 	if warm.Phases >= cold.Phases {
 		t.Fatalf("warm re-solve took %d phases, cold took %d — no speedup", warm.Phases, cold.Phases)
@@ -71,10 +72,10 @@ func TestWarmAcrossCommodityPerturbation(t *testing.T) {
 	g := regularish(40, 8, 1)
 	c1 := permComms(40, 2, 2)
 	c2 := permComms(40, 2, 3)
-	coldRef := MaxConcurrentFlow(g, c2, Options{Workers: 1})
+	coldRef := MaxConcurrentFlow(context.Background(), g, c2, Options{Workers: 1})
 	sv := NewSolver(Options{Workers: 1})
-	_, st := sv.Solve(g, c1, nil)
-	warm, _ := sv.Solve(g, c2, st)
+	_, st := sv.Solve(context.Background(), g, c1, nil)
+	warm, _ := sv.Solve(context.Background(), g, c2, st)
 	assertAgree(t, coldRef, warm)
 	// The warm primal may not fall below the cold one by more than the
 	// guarantee: both bracket the same optimum λ*.
@@ -89,15 +90,15 @@ func TestWarmAcrossTopologyPerturbation(t *testing.T) {
 	g := regularish(40, 8, 1)
 	comms := permComms(40, 2, 2)
 	sv := NewSolver(Options{Workers: 1})
-	_, st := sv.Solve(g, comms, nil)
+	_, st := sv.Solve(context.Background(), g, comms, nil)
 
 	g2 := g.Clone()
 	edges := g2.Edges()
 	for i := 0; i < 4; i++ {
 		g2.RemoveEdge(edges[i*7].U, edges[i*7].V)
 	}
-	coldRef := MaxConcurrentFlow(g2, comms, Options{Workers: 1})
-	warm, _ := sv.Solve(g2, comms, st)
+	coldRef := MaxConcurrentFlow(context.Background(), g2, comms, Options{Workers: 1})
+	warm, _ := sv.Solve(context.Background(), g2, comms, st)
 	assertAgree(t, coldRef, warm)
 }
 
@@ -110,12 +111,12 @@ func TestWarmFallbackOnUnrelatedTopology(t *testing.T) {
 	comms := permComms(40, 2, 2)
 
 	svA := NewSolver(Options{Workers: 1})
-	_, stOther := svA.Solve(other, permComms(40, 2, 5), nil)
+	_, stOther := svA.Solve(context.Background(), other, permComms(40, 2, 5), nil)
 
 	svB := NewSolver(Options{Workers: 1})
-	ref, _ := svB.Solve(g, comms, nil)
+	ref, _ := svB.Solve(context.Background(), g, comms, nil)
 	svC := NewSolver(Options{Workers: 1})
-	got, _ := svC.Solve(g, comms, stOther)
+	got, _ := svC.Solve(context.Background(), g, comms, stOther)
 	if got.Lambda != ref.Lambda || got.UpperBound != ref.UpperBound || got.Phases != ref.Phases {
 		t.Fatalf("unrelated warm state changed the solve: got (λ=%v ub=%v ph=%d), want (λ=%v ub=%v ph=%d)",
 			got.Lambda, got.UpperBound, got.Phases, ref.Lambda, ref.UpperBound, ref.Phases)
@@ -137,7 +138,7 @@ func TestWarmSeedRefusedWhenImmature(t *testing.T) {
 	// An early-accepted feasibility probe exits long before the gap
 	// closes: its state must be immature (demand far below capacity).
 	svA := NewSolver(Options{Workers: 1})
-	ok, st := svA.FeasibleAtFull(g, permComms(40, 0.2, 5), 0.03, nil)
+	ok, st := svA.FeasibleAtFull(context.Background(), g, permComms(40, 0.2, 5), 0.03, nil)
 	if !ok {
 		t.Fatal("setup: lightly loaded instance must be feasible")
 	}
@@ -146,9 +147,9 @@ func TestWarmSeedRefusedWhenImmature(t *testing.T) {
 	}
 
 	svB := NewSolver(Options{Workers: 1})
-	ref, _ := svB.Solve(g, comms, nil)
+	ref, _ := svB.Solve(context.Background(), g, comms, nil)
 	svC := NewSolver(Options{Workers: 1})
-	got, _ := svC.Solve(g, comms, st)
+	got, _ := svC.Solve(context.Background(), g, comms, st)
 	if got.Lambda != ref.Lambda || got.UpperBound != ref.UpperBound || got.Phases != ref.Phases {
 		t.Fatalf("immature warm state was not refused: got (λ=%v ph=%d), want (λ=%v ph=%d)",
 			got.Lambda, got.Phases, ref.Lambda, ref.Phases)
@@ -167,7 +168,7 @@ func TestWarmChainWorkerInvariance(t *testing.T) {
 		var out []Result
 		for _, comms := range chain {
 			var res Result
-			res, st = sv.Solve(g, comms, st)
+			res, st = sv.Solve(context.Background(), g, comms, st)
 			out = append(out, res)
 		}
 		return out
@@ -195,8 +196,8 @@ func TestWarmChainWorkerInvariance(t *testing.T) {
 func TestWarmChainSurvivesDegenerateLink(t *testing.T) {
 	g := regularish(40, 8, 1)
 	sv := NewSolver(Options{Workers: 1})
-	_, st := sv.Solve(g, permComms(40, 2, 2), nil)
-	res, st2 := sv.Solve(g, []Commodity{{3, 3, 1}}, st)
+	_, st := sv.Solve(context.Background(), g, permComms(40, 2, 2), nil)
+	res, st2 := sv.Solve(context.Background(), g, []Commodity{{3, 3, 1}}, st)
 	if !math.IsInf(res.Lambda, 1) {
 		t.Fatalf("degenerate instance λ=%v, want +Inf", res.Lambda)
 	}
@@ -218,7 +219,7 @@ func TestHandleArcFlowCertifiesLambda(t *testing.T) {
 	for _, seed := range []int64{2, 3, 4} {
 		comms := permComms(40, 2, seed)
 		sv := NewSolver(Options{Workers: 1})
-		res, _ := sv.Solve(g, comms, nil)
+		res, _ := sv.Solve(context.Background(), g, comms, nil)
 		opt := Options{}.withDefaults()
 		total := 0.0
 		for i, f := range res.ArcFlow {
@@ -249,9 +250,9 @@ func TestStateImmutableAcrossHandleReuse(t *testing.T) {
 	c1 := permComms(40, 2, 2)
 	c2 := permComms(40, 2, 3)
 	sv := NewSolver(Options{Workers: 1})
-	_, st1 := sv.Solve(g, c1, nil)
+	_, st1 := sv.Solve(context.Background(), g, c1, nil)
 	snapshot := append([]float64(nil), st1.length...)
-	_, _ = sv.Solve(g, c2, st1)
+	_, _ = sv.Solve(context.Background(), g, c2, st1)
 	for i := range snapshot {
 		if st1.length[i] != snapshot[i] {
 			t.Fatal("handle reuse mutated a previously returned State")

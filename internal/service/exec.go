@@ -227,7 +227,7 @@ func transportAsset(w *worker, mat materialized, needTopology bool) *simAsset {
 // mptcp8 consumes no randomness, per flowsim's stream contract).
 // The srv buffer holds the server→switch map between trials; the pattern
 // built from it is dead before the next trial overwrites it.
-func transportThroughput(sim *flowsim.Sim, compiled *routing.Compiled, top *topology.Topology, spec *TransportSpec, seed uint64, srv *[]int) float64 {
+func transportThroughput(ctx context.Context, sim *flowsim.Sim, compiled *routing.Compiled, top *topology.Topology, spec *TransportSpec, seed uint64, srv *[]int) float64 {
 	src := rng.New(seed).Split("transport")
 	*srv = top.ServerSwitchesInto(*srv)
 	pat := traffic.RandomPermutation(*srv, src.Split("traffic"))
@@ -242,7 +242,7 @@ func transportThroughput(sim *flowsim.Sim, compiled *routing.Compiled, top *topo
 		table = compiled.KShortest(pairs, 8, 1)
 	}
 	proto := spec.protocol()
-	return sim.Simulate(pat.Flows, table, proto, flowsim.SimSource(src, proto)).Mean()
+	return sim.SimulateContext(ctx, pat.Flows, table, proto, flowsim.SimSource(src, proto)).Mean()
 }
 
 func planEvaluate(req *EvaluateRequest) (*plan, *apiError) {
@@ -275,19 +275,17 @@ func planEvaluate(req *EvaluateRequest) (*plan, *apiError) {
 		run: func(ctx context.Context, w *worker) (any, error) {
 			resp := &EvaluateResponse{Throughputs: make([]float64, 0, req.Trials)}
 			sum := 0.0
-			// Thread this request's cancellation into the kernels so a
-			// cancel lands mid-trial (one solver phase, one sim filling
-			// round) instead of waiting out the whole trial. A truncated
-			// kernel can return a partial value, so every trial that could
-			// have been interrupted is followed by a ctx re-check before
-			// its value is trusted — and the final check below keeps a
-			// partial last trial out of the response cache.
-			intr := func() bool { return ctx.Err() != nil }
+			// ctx reaches the kernels so a cancel lands mid-trial (one
+			// solver phase, one sim filling round) instead of waiting out
+			// the whole trial. A truncated kernel can return a partial
+			// value, so every trial that could have been cancelled is
+			// followed by a ctx re-check before its value is trusted —
+			// and the final check below keeps a partial last trial out of
+			// the response cache.
 			var top *topology.Topology
 			var asset *simAsset
 			if req.Transport != nil {
 				asset = transportAsset(w, mat, true)
-				asset.sim.SetInterrupt(intr)
 			} else {
 				top = mat.build()
 			}
@@ -300,12 +298,12 @@ func planEvaluate(req *EvaluateRequest) (*plan, *apiError) {
 				var bounds *[2]float64
 				switch {
 				case asset != nil:
-					lam = transportThroughput(asset.sim, asset.compiled, asset.top, req.Transport, req.Seed+uint64(i), &asset.srv)
+					lam = transportThroughput(ctx, asset.sim, asset.compiled, asset.top, req.Transport, req.Seed+uint64(i), &asset.srv)
 				case req.Estimator != nil:
 					// Certified bracket around the exact trial answer; the
 					// conservative (lower) side stands in as the trial's
 					// throughput so aggregate Min/Mean never overpromise.
-					lo, hi, err := jellyfish.EstimateThroughputInterruptible(top, req.Estimator.Kind, req.Estimator.Sample, req.Seed+uint64(i), intr)
+					lo, hi, err := jellyfish.EstimateThroughputContext(ctx, top, req.Estimator.Kind, req.Estimator.Sample, req.Seed+uint64(i))
 					if err != nil {
 						w.tele.rec.End()
 						return nil, err // unreachable: kind validated at plan time
@@ -314,7 +312,7 @@ func planEvaluate(req *EvaluateRequest) (*plan, *apiError) {
 					bounds = &resp.Bounds[len(resp.Bounds)-1]
 					lam = lo
 				default:
-					lam = jellyfish.OptimalThroughputInterruptible(top, req.Seed+uint64(i), intr, w.solverWorkers)
+					lam = jellyfish.OptimalThroughputContext(ctx, top, req.Seed+uint64(i), w.solverWorkers)
 				}
 				w.tele.rec.End()
 				resp.Throughputs = append(resp.Throughputs, lam)
@@ -381,14 +379,9 @@ func planCapacitySearch(req *CapacitySearchRequest) (*plan, *apiError) {
 				}
 				w.cache.put(famKey, fam)
 			}
-			max, err := cs.RunOnFamilyObserved(fam, func() bool {
-				return ctx.Err() != nil
-			}, func(servers int, feasible bool) {
+			max, err := cs.RunOnFamilyContext(ctx, fam, func(servers int, feasible bool) {
 				emit(ctx, &ProbeEvent{Op: "probe", Servers: servers, Feasible: feasible})
 			})
-			if err == jellyfish.ErrInterrupted {
-				return nil, ctx.Err()
-			}
 			if err != nil {
 				return nil, err
 			}
@@ -478,16 +471,10 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 			// round); each step re-checks ctx before its checkpoint is
 			// cached, so a truncated solve never becomes a chain
 			// checkpoint other requests would resume from.
-			intr := func() bool { return ctx.Err() != nil }
-			ev.SetInterrupt(intr)
 			var simScratch *flowsim.Sim
 			var srvBuf []int
 			if req.Transport != nil {
 				simScratch = transportAsset(w, mat, false).sim
-				// Always (re)install this request's poll: the shared sim
-				// asset still holds the previous borrower's closure, which
-				// may reference a context that has since been cancelled.
-				simScratch.SetInterrupt(intr)
 			}
 			stepOf := func(i int, desc string, lam float64) WhatIfStep {
 				st := WhatIfStep{
@@ -496,7 +483,7 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 					Links: top.NumLinks(), Throughput: lam,
 				}
 				if req.Transport != nil {
-					tp := transportThroughput(simScratch, routing.NewCompiled(top.Graph), top, req.Transport, req.Seed, &srvBuf)
+					tp := transportThroughput(ctx, simScratch, routing.NewCompiled(top.Graph), top, req.Transport, req.Seed, &srvBuf)
 					st.TransportThroughput = &tp
 				}
 				return st
@@ -511,7 +498,7 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 			} else {
 				w.tele.misses[tierChain].Inc()
 				w.tele.rec.Begin("whatif.step", 0)
-				lam := ev.OptimalThroughput(top, req.Seed)
+				lam := ev.OptimalThroughputContext(ctx, top, req.Seed)
 				w.tele.rec.End()
 				st := stepOf(0, "base", lam)
 				if err := ctx.Err(); err != nil {
@@ -536,7 +523,7 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 					return nil, badRequest("invalid_scenario", "scenario %d leaves the topology with no servers; throughput is undefined", i-1)
 				}
 				w.tele.rec.Begin("whatif.step", int64(i))
-				lam := ev.OptimalThroughput(top, req.Seed)
+				lam := ev.OptimalThroughputContext(ctx, top, req.Seed)
 				w.tele.rec.End()
 				st := stepOf(i, desc, lam)
 				if err := ctx.Err(); err != nil {

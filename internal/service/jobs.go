@@ -379,9 +379,9 @@ func (j *job) view(withResult bool) JobView {
 }
 
 // cancelJob requests cancellation on a client's behalf: queued jobs die
-// at dequeue, running interruptible operations (capacity searches
-// between trial solves, what-if chains and evaluations between solves)
-// at their next poll. A finished job is left untouched. Unlike shutdown
+// at dequeue, running ones at their next ctx poll (between trials and
+// steps, and inside the kernels once per solver phase or simulation
+// round). A finished job is left untouched. Unlike shutdown
 // interruption, a client cancellation is a terminal state and is
 // journaled as one.
 func (j *job) cancelJob() {

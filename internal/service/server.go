@@ -179,7 +179,7 @@ func (s *Server) Close() {
 	}
 	s.jobs.mu.Unlock()
 	// Wait for executor goroutines: they exit promptly once cancelled
-	// (queued jobs at dequeue, running ones at the next interrupt poll),
+	// (queued jobs at dequeue, running ones at the next ctx poll),
 	// and the store must not close under a finish in flight.
 	for _, j := range jobs {
 		<-j.done

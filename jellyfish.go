@@ -87,6 +87,7 @@
 package jellyfish
 
 import (
+	"context"
 	"fmt"
 
 	"jellyfish/internal/capsearch"
@@ -212,25 +213,20 @@ func FailRandomSwitches(t *Topology, fraction float64, seed uint64) []int {
 // flow solver's CPU parallelism (default: all cores); the value returned
 // is identical for every worker count.
 func OptimalThroughput(t *Topology, seed uint64, workers ...int) float64 {
-	return optimalThroughput(t, seed, nil, workers...)
+	return OptimalThroughputContext(context.Background(), t, seed, workers...)
 }
 
-// OptimalThroughputInterruptible is OptimalThroughput with a cooperative
-// cancellation poll threaded into the flow solver's phase loop, bounding
-// cancellation latency to one Garg–Könemann phase instead of a whole
-// solve. A fired interrupt truncates the solve: the returned value is a
-// valid primal certificate of the phases run, but NOT the converged
-// answer — callers that observe their own cancellation signal must
-// discard it, never cache it. A nil or never-firing interrupt is
-// byte-identical to OptimalThroughput.
-func OptimalThroughputInterruptible(t *Topology, seed uint64, interrupt func() bool, workers ...int) float64 {
-	return optimalThroughput(t, seed, interrupt, workers...)
-}
-
-func optimalThroughput(t *Topology, seed uint64, interrupt func() bool, workers ...int) float64 {
+// OptimalThroughputContext is OptimalThroughput with cancellation: ctx
+// is polled once per Garg–Könemann phase of the flow solver, bounding
+// cancellation latency to one phase instead of a whole solve. A
+// cancelled solve is truncated: the returned value is a valid primal
+// certificate of the phases run, but NOT the converged answer — callers
+// that cancel must discard it, never cache it. Under a never-cancelled
+// context the value is byte-identical to OptimalThroughput.
+func OptimalThroughputContext(ctx context.Context, t *Topology, seed uint64, workers ...int) float64 {
 	src := rng.New(seed)
 	pat := traffic.RandomPermutation(t.ServerSwitches(), src.Split("traffic"))
-	res := mcf.MaxConcurrentFlow(t.Graph, pat.Commodities(), mcf.Options{Workers: firstOrZero(workers), Interrupt: interrupt})
+	res := mcf.MaxConcurrentFlow(ctx, t.Graph, pat.Commodities(), mcf.Options{Workers: firstOrZero(workers)})
 	return metrics.Clamp01(res.Lambda)
 }
 
@@ -247,32 +243,23 @@ func optimalThroughput(t *Topology, seed uint64, interrupt func() bool, workers 
 // after the same cap-at-1 normalization (capping preserves both sides).
 // Deterministic in (topology, estimator, sample, seed).
 func EstimateThroughput(t *Topology, estimator string, sample int, seed uint64) (lower, upper float64, err error) {
-	return estimateThroughput(t, estimator, sample, seed, nil)
+	return EstimateThroughputContext(context.Background(), t, estimator, sample, seed)
 }
 
-// EstimateThroughputInterruptible is EstimateThroughput with a
-// cooperative cancellation poll threaded into the estimator's internal
-// solves (for estimators that run any — see estimate.Interruptible;
-// the closed-form estimators return before a poll matters). A fired
-// interrupt yields a soundly loose bracket, not the converged one:
-// callers that observe their own cancellation signal must discard it.
-// A nil or never-firing interrupt is byte-identical to
-// EstimateThroughput.
-func EstimateThroughputInterruptible(t *Topology, estimator string, sample int, seed uint64, interrupt func() bool) (lower, upper float64, err error) {
-	return estimateThroughput(t, estimator, sample, seed, interrupt)
-}
-
-func estimateThroughput(t *Topology, estimator string, sample int, seed uint64, interrupt func() bool) (lower, upper float64, err error) {
+// EstimateThroughputContext is EstimateThroughput with cancellation: ctx
+// is polled inside the estimator's solves (for estimators that run any;
+// the closed-form estimators return before a poll matters). A cancel
+// yields a soundly loose bracket, not the converged one: callers that
+// cancel must discard it. Under a never-cancelled context the bounds
+// are byte-identical to EstimateThroughput.
+func EstimateThroughputContext(ctx context.Context, t *Topology, estimator string, sample int, seed uint64) (lower, upper float64, err error) {
 	est, err := estimate.New(estimator, sample, seed)
 	if err != nil {
 		return 0, 0, err
 	}
-	if in, ok := est.(estimate.Interruptible); ok && interrupt != nil {
-		in.SetInterrupt(interrupt)
-	}
 	src := rng.New(seed)
 	pat := traffic.RandomPermutation(t.ServerSwitches(), src.Split("traffic"))
-	b := est.Estimate(t.Compact(), pat.Commodities())
+	b := est.Estimate(ctx, t.Compact(), pat.Commodities())
 	return metrics.Clamp01(b.Lower), metrics.Clamp01(b.Upper), nil
 }
 
@@ -393,10 +380,6 @@ func (c CapacitySearch) Run() (int, error) {
 	return c.RunOnFamily(nil, nil)
 }
 
-// ErrInterrupted reports a capacity search abandoned by its interrupt
-// hook (see RunOnFamily). Plain Run never returns it.
-var ErrInterrupted = capsearch.ErrInterrupted
-
 // A SearchFamily is the reusable warm asset of capacity searches over one
 // inventory: the incrementally grown topology the probes share. It is a
 // pure function of (Switches, Ports, Seed) — every search over the same
@@ -420,22 +403,22 @@ func (c CapacitySearch) NewFamily() (*SearchFamily, error) {
 }
 
 // RunOnFamily executes the search probing a caller-cached family (nil
-// builds a fresh one — Run is exactly RunOnFamily(nil, nil)) with an
-// optional interrupt hook polled between solves; when the hook reports
-// true the search abandons with ErrInterrupted. The family must come
-// from NewFamily on a CapacitySearch with the same Switches, Ports, and
-// Seed.
-func (c CapacitySearch) RunOnFamily(fam *SearchFamily, interrupt func() bool) (int, error) {
-	return c.RunOnFamilyObserved(fam, interrupt, nil)
-}
-
-// RunOnFamilyObserved executes like RunOnFamily, additionally invoking
+// builds a fresh one — Run is exactly RunOnFamily(nil, nil)), invoking
 // probe (when non-nil) after every completed feasibility probe — the
 // streaming-progress hook for long-running service jobs. The probe
 // sequence is a deterministic function of the search configuration, so
-// identical searches produce identical (servers, feasible) streams; an
-// interrupted probe is not observed.
-func (c CapacitySearch) RunOnFamilyObserved(fam *SearchFamily, interrupt func() bool, probe func(servers int, feasible bool)) (int, error) {
+// identical searches produce identical (servers, feasible) streams. The
+// family must come from NewFamily on a CapacitySearch with the same
+// Switches, Ports, and Seed.
+func (c CapacitySearch) RunOnFamily(fam *SearchFamily, probe func(servers int, feasible bool)) (int, error) {
+	return c.RunOnFamilyContext(context.Background(), fam, probe)
+}
+
+// RunOnFamilyContext is RunOnFamily with cancellation: ctx is polled
+// between trial solves and once per Garg–Könemann phase inside them, and
+// once ctx.Err() is non-nil the search is abandoned and returns it. A
+// cancelled probe is not observed.
+func (c CapacitySearch) RunOnFamilyContext(ctx context.Context, fam *SearchFamily, probe func(servers int, feasible bool)) (int, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
@@ -452,7 +435,7 @@ func (c CapacitySearch) RunOnFamilyObserved(fam *SearchFamily, interrupt func() 
 	if c.Estimator != "" {
 		est, _ = estimate.New(c.Estimator, c.EstimatorSample, c.Seed) // kind validated above
 	}
-	return capsearch.MaxServers(capsearch.Config{
+	return capsearch.MaxServers(ctx, capsearch.Config{
 		Lo:        c.Switches,
 		Hi:        c.Switches * (c.Ports - 1),
 		Family:    fam.fam,
@@ -462,7 +445,6 @@ func (c CapacitySearch) RunOnFamilyObserved(fam *SearchFamily, interrupt func() 
 		Workers:   c.Workers,
 		Cold:      c.ColdStart,
 		Estimator: est,
-		Interrupt: interrupt,
 		Probe:     probe,
 		Obs:       c.Obs,
 	})

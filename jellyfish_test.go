@@ -1,6 +1,7 @@
 package jellyfish
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -58,8 +59,10 @@ func TestRunOnFamilyMatchesRun(t *testing.T) {
 			t.Fatalf("round %d: RunOnFamily = %d, Run = %d", round, got, fresh)
 		}
 	}
-	if _, err := cs.RunOnFamily(fam, func() bool { return true }); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("always-on interrupt returned %v, want ErrInterrupted", err)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cs.RunOnFamilyContext(cancelled, fam, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context returned %v, want context.Canceled", err)
 	}
 	bad := CapacitySearch{Switches: 0, Ports: 4}
 	if _, err := bad.NewFamily(); err == nil {

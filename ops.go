@@ -1,6 +1,7 @@
 package jellyfish
 
 import (
+	"context"
 	"io"
 	"sync/atomic"
 
@@ -112,28 +113,25 @@ func NewWhatIfEvaluator(workers int) *WhatIfEvaluator {
 // Panics if another evaluation is in flight on the same evaluator (see
 // the type's concurrency contract).
 func (e *WhatIfEvaluator) OptimalThroughput(t *Topology, seed uint64) float64 {
+	return e.OptimalThroughputContext(context.Background(), t, seed)
+}
+
+// OptimalThroughputContext is OptimalThroughput with cancellation: ctx
+// is polled once per Garg–Könemann phase of the flow solver. A cancel
+// truncates the evaluation in flight — callers that cancel must discard
+// that value and must NOT checkpoint the evaluator's state (the
+// truncated state would poison later warm resumes; the solver's own
+// maturity gate rejects it on seeding, but a checkpoint cache keyed as
+// "converged" has no such gate). Under a never-cancelled context the
+// value is byte-identical to OptimalThroughput.
+func (e *WhatIfEvaluator) OptimalThroughputContext(ctx context.Context, t *Topology, seed uint64) float64 {
 	e.acquire("OptimalThroughput")
 	defer e.busy.Store(false)
 	e.srv = t.ServerSwitchesInto(e.srv)
 	pat := traffic.RandomPermutation(e.srv, rng.New(seed).Split("traffic"))
 	var res mcf.Result
-	res, e.st = e.sv.Solve(t.Graph, pat.Commodities(), e.st)
+	res, e.st = e.sv.Solve(ctx, t.Graph, pat.Commodities(), e.st)
 	return metrics.Clamp01(res.Lambda)
-}
-
-// SetInterrupt installs a cooperative cancellation poll on the
-// evaluator's flow solver, bounding cancellation latency to one
-// Garg–Könemann phase per evaluation. A fired interrupt truncates the
-// evaluation in flight — callers that observe their own cancellation
-// signal must discard that value and must NOT checkpoint the
-// evaluator's state (the truncated state would poison later warm
-// resumes; the solver's own maturity gate rejects it on seeding, but a
-// checkpoint cache keyed as "converged" has no such gate). A nil or
-// never-firing poll changes nothing.
-func (e *WhatIfEvaluator) SetInterrupt(f func() bool) {
-	e.acquire("SetInterrupt")
-	defer e.busy.Store(false)
-	e.sv.SetInterrupt(f)
 }
 
 // Reset drops the carried solver state, forcing the next evaluation to
