@@ -152,8 +152,8 @@ func newScheduler(workers, solverWorkers, cacheEntries int, tl *tele) *scheduler
 
 // do schedules a plan and blocks until its execution — or the identical
 // in-flight execution it was deduplicated onto — completes. ctx is the
-// execution context (checked at dequeue and polled by interruptible
-// executors); dedup enables single-flight coalescing, onStart (optional)
+// execution context (checked at dequeue and polled by the executors
+// and the kernels beneath them; never nil); dedup enables single-flight coalescing, onStart (optional)
 // fires when execution actually begins on the worker. The returned
 // trace is the execution's recorded span tree (nil with telemetry
 // disabled); deduped followers and response-cache hits share the
@@ -222,11 +222,9 @@ func (w *worker) execute(s *scheduler, t *task) {
 			time.Sleep(faultinject.StallDuration)
 		}
 	}
-	if t.ctx != nil {
-		if err := t.ctx.Err(); err != nil {
-			t.err = err
-			return
-		}
+	if err := t.ctx.Err(); err != nil {
+		t.err = err
+		return
 	}
 	if v, ok := w.lookup(tierResp, "resp:"+t.key); ok {
 		cr := v.(*cachedResult)
@@ -301,10 +299,6 @@ func runGuarded(s *scheduler, t *task, w *worker) (v any, err error) {
 				Message: fmt.Sprintf("executor panic: %v", r)}
 		}
 	}()
-	ctx := t.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// Progress payloads are recorded on the task (for the response cache)
 	// and forwarded live to the subscriber, in emission order. The sink
 	// runs on this worker goroutine only, so the slice needs no locking.
@@ -314,7 +308,7 @@ func runGuarded(s *scheduler, t *task, w *worker) (v any, err error) {
 			t.onEvent(b)
 		}
 	}
-	return t.run(context.WithValue(ctx, emitKey{}, sink), w)
+	return t.run(context.WithValue(t.ctx, emitKey{}, sink), w)
 }
 
 // close shuts the pool down after in-flight work drains. Submitting after
