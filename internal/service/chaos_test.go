@@ -218,16 +218,20 @@ func TestChaosPanicMidProbeContainedToOneJob(t *testing.T) {
 	}
 }
 
-// Cancelling a job mid-execution must reach a terminal cancelled state
-// promptly and leave no truncated partial results in any cache: the
-// same request afterwards returns bytes identical to a fresh server.
+// Cancelling a job behind a wedged worker must reach a terminal
+// cancelled state promptly and leave no truncated partial results in any
+// cache: the same request afterwards returns bytes identical to a fresh
+// server.
 func TestChaosCancelMidSearchLeavesCachesClean(t *testing.T) {
 	freshTS, _ := newTestServer(t, Options{Workers: 1})
 	freshBytes := mustPost(t, freshTS.URL+chaosSyncPath, chaosSyncBody)
 
-	// Stall the first dequeue so the cancel deterministically lands while
-	// the task is mid-execution (the stall sits between dequeue and the
-	// executor, whose first interrupt poll then observes the cancel).
+	// Stall the first dequeue so the worker is wedged when the cancel
+	// lands. Whether the cancel arrives before the worker dequeues or
+	// during the stall, the scheduler's dequeue check after the stall
+	// observes it before any kernel runs: this checks cancel-at-dequeue.
+	// TestChaosCancelAtEveryPollLeavesCachesClean covers cancels that
+	// land mid-kernel.
 	oldStall := faultinject.StallDuration
 	faultinject.StallDuration = 300 * time.Millisecond
 	t.Cleanup(func() { faultinject.StallDuration = oldStall })
@@ -235,7 +239,6 @@ func TestChaosCancelMidSearchLeavesCachesClean(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Workers: 1})
 
 	a := submitJob(t, ts.URL, chaosJobBody)
-	time.Sleep(50 * time.Millisecond) // let the worker dequeue into the stall
 	cancelStart := time.Now()
 	if status, body := doPost(t, ts.URL+"/v1/jobs/"+a.ID+"/cancel", ""); status != http.StatusOK {
 		t.Fatalf("cancel: status %d: %s", status, body)
@@ -244,8 +247,8 @@ func TestChaosCancelMidSearchLeavesCachesClean(t *testing.T) {
 	if got.Status != jobCancelled {
 		t.Fatalf("cancelled job: %s", got.Status)
 	}
-	// Phase-bounded cancellation: terminal well before the job's own
-	// runtime, even with the injected stall still draining.
+	// Terminal well before the job's own runtime, even with the injected
+	// stall still draining.
 	if elapsed := time.Since(cancelStart); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
