@@ -4,15 +4,12 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-seed N] [-trials N] [-workers N] [-cold] [fig2c table1 ... | all]
+//	experiments [-quick] [-seed N] [-trials N] [-workers N] [fig2c table1 ... | all]
 //
 // Full-scale runs use the paper's sizes and can take minutes per figure;
 // -quick trims every sweep to seconds, and -workers fans independent
 // trials and sweep points out over CPU cores (0 = all cores; output is
-// bit-identical for every worker count). -cold disables the flow solver's
-// warm-start threading in the capacity searches and sweeps (fig2c and the
-// mcf ablations) without changing any instance or random stream — the A/B
-// lever behind the warm-start regression benchmarks.
+// bit-identical for every worker count).
 package main
 
 import (
@@ -29,10 +26,9 @@ func main() {
 	seed := flag.Uint64("seed", 1, "root random seed")
 	trials := flag.Int("trials", 0, "trials per data point (0 = experiment default)")
 	workers := flag.Int("workers", 0, "CPU parallelism (0 = all cores, 1 = serial; same output either way)")
-	cold := flag.Bool("cold", false, "disable flow-solver warm starts in capacity searches and sweeps (identical instances, cold solves; A/B lever)")
 	flag.Parse()
 
-	opt := experiments.Options{Seed: *seed, Trials: *trials, Quick: *quick, Workers: *workers, ColdStart: *cold}
+	opt := experiments.Options{Seed: *seed, Trials: *trials, Quick: *quick, Workers: *workers}
 
 	args := flag.Args()
 	if len(args) == 0 {

@@ -12,10 +12,8 @@
 //	-packet         evaluate flow-level throughput (kSP-8 + MPTCP)
 //	-maxservers     binary-search the most servers this switch inventory
 //	                supports at full throughput (warm-started incremental
-//	                search; -trials bounds permutations per probe, -cold
-//	                disables warm starts for A/B comparison)
+//	                search; -trials bounds permutations per probe)
 //	-trials N       permutation matrices per feasibility probe (default 3)
-//	-cold           solve every probe from scratch (same instances/streams)
 //	-expand N       add N more switches incrementally before reporting
 //	-blueprint      print the cable list (one "u v" pair per line)
 //	-save FILE      write the full JSON blueprint to FILE
@@ -48,7 +46,6 @@ func main() {
 	packet := flag.Bool("packet", false, "evaluate flow-level (kSP-8 + MPTCP) throughput")
 	maxServers := flag.Bool("maxservers", false, "binary-search the most servers supported at full throughput (uses -switches/-ports/-trials/-seed)")
 	trials := flag.Int("trials", 3, "permutation matrices per feasibility probe of -maxservers")
-	cold := flag.Bool("cold", false, "disable flow-solver warm starts in -maxservers (same instances, cold solves)")
 	blueprint := flag.Bool("blueprint", false, "print the cabling blueprint (edge list)")
 	workers := flag.Int("workers", 0, "CPU parallelism for evaluators (0 = all cores, 1 = serial)")
 	flag.Parse()
@@ -63,7 +60,7 @@ func main() {
 		}
 		got, err := jellyfish.CapacitySearch{
 			Switches: *switches, Ports: *ports, Trials: *trials,
-			Seed: *seed, Workers: *workers, ColdStart: *cold,
+			Seed: *seed, Workers: *workers,
 		}.Run()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
