@@ -119,6 +119,7 @@ func (sv *Solver) Solve(ctx context.Context, g *graph.Graph, comms []Commodity, 
 // FeasibleAtFull: it reports whether all commodities can be routed at
 // full demand (λ ≥ 1-slack), using certificates to answer early in
 // either direction, and returns the warm snapshot for the next probe.
+// ctx is polled as in Solve.
 func (sv *Solver) FeasibleAtFull(ctx context.Context, g *graph.Graph, comms []Commodity, slack float64, warm *State) (bool, *State) {
 	res, st := sv.solve(ctx, g, comms, warm, 1-slack, 1-slack)
 	return res.Lambda >= 1-slack, st
