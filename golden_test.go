@@ -1,0 +1,34 @@
+package jellyfish
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"testing"
+)
+
+// The transport API pinned byte for byte: the SHA-256 of
+// PacketLevelThroughput's mean, fairness and per-flow rates for every
+// routing scheme and protocol, and of LinkPathCounts for every scheme, at
+// one and two route-building workers. Floats are hashed by their bits.
+func TestTransportAPIGolden(t *testing.T) {
+	const want = "93d8359a151244144789ae3f5e6b128067df33017deccb38aa1b581b15c7bf52"
+	net := New(Config{Switches: 30, Ports: 8, NetworkDegree: 5, Seed: 15})
+	for _, workers := range []int{1, 2} {
+		h := sha256.New()
+		for _, scheme := range []RoutingScheme{ECMP8, ECMP64, KSP8} {
+			for _, proto := range []TransportProtocol{TCP1Flow, TCP8Flows, MPTCP8Subflows} {
+				res := PacketLevelThroughput(net, scheme, proto, 16, workers)
+				fmt.Fprintf(h, "%d/%d %x %x", scheme, proto, math.Float64bits(res.MeanThroughput), math.Float64bits(res.Fairness))
+				for _, r := range res.FlowThroughputs {
+					fmt.Fprintf(h, " %x", math.Float64bits(r))
+				}
+				fmt.Fprintln(h)
+			}
+			fmt.Fprintln(h, int(scheme), LinkPathCounts(net, scheme, 20, workers))
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+			t.Errorf("workers=%d: sha256 %s, want %s", workers, got, want)
+		}
+	}
+}

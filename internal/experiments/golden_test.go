@@ -30,3 +30,32 @@ func TestFiguresWorkloadGolden(t *testing.T) {
 		}
 	}
 }
+
+// The transport experiments at quick scale, pinned byte for byte: every
+// table that routes a permutation and runs a transport model over it, at
+// seed 1 and one or two workers. Cheap enough for -short, so a change to
+// the shared trial path (permutation, route table, simulator streams)
+// fails fast.
+func TestTransportQuickGolden(t *testing.T) {
+	golden := []struct{ id, sha string }{
+		{"table1", "9e18cf062a14e9efec6b738643a7607660538fe031a48d02cfbaded460c41ccc"},
+		{"fig8", "f4f2da60bdb672e728e0ef9488909a6257262eac0d9519e7d69256272e4e9a1e"},
+		{"fig9", "d79ada4eed0e7a0085a8a520e546a006f7def5ec0c5d86f3407f7eb40db0ed2d"},
+		{"fig10", "9d32b0effff88d4c88e229e5854e64efdd343e4e54d0203352c053a4d69167e7"},
+		{"fig11", "e28d1d0ced0746c02c5d2167c1d29456636a44e0f900fa748ee6b08cc93ff979"},
+		{"fig12", "96b77801e92ad0b2385f76cf879e9872127985d283420e348219db024fd4f266"},
+		{"fig13", "40f03607843de34564acdc68a4357149dd4d2322806331021a2bffa7d4fd7242"},
+		{"ablation-routing-k", "fd6bfca5f51240c99c84348942ab3274a542fda14008d0d76d2b2c660feeb35c"},
+		{"ablation-failures-routing", "7735e0054a51c449e90907020d61985fe22656c74cf143f90fb9efe7ecf12332"},
+		{"ablation-packet-vs-fluid", "f2ce6eb971a3c72234adbbac28f473765e26c9623edb0f6545c0c7e81eea3b1e"},
+	}
+	for _, g := range golden {
+		for _, workers := range []int{1, 2} {
+			var buf bytes.Buffer
+			Lookup(g.id)(Options{Seed: 1, Quick: true, Workers: workers}).Fprint(&buf)
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != g.sha {
+				t.Errorf("%s at Workers=%d: sha256 %s, want %s\n%s", g.id, workers, got, g.sha, buf.String())
+			}
+		}
+	}
+}

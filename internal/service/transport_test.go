@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -187,4 +189,31 @@ func TestSyncAdmissionUnderBurst(t *testing.T) {
 func itoa(v uint64) string {
 	b, _ := json.Marshal(v)
 	return string(b)
+}
+
+// Transport responses pinned byte for byte: the SHA-256 over evaluate
+// (3 trials) and what-if (2 scenarios) bodies for every protocol ×
+// routing value, the omitted routing included, at one and two shard
+// workers.
+func TestTransportResponsesGolden(t *testing.T) {
+	const want = "9d1e55038566b39be5909e5c6c00951f9a861b79c625c3f4cb1f0cb05e8c1334"
+	design := `{"design":{"switches":20,"ports":8,"networkDegree":5,"seed":4}}`
+	for _, workers := range []int{1, 2} {
+		ts, _ := newTestServer(t, Options{Workers: workers})
+		h := sha256.New()
+		for _, proto := range []string{"tcp1", "tcp8", "mptcp8"} {
+			for _, routing := range []string{"ecmp8", "ecmp64", "ksp8", ""} {
+				spec := `"transport":{"protocol":"` + proto + `"}`
+				if routing != "" {
+					spec = `"transport":{"protocol":"` + proto + `","routing":"` + routing + `"}`
+				}
+				h.Write(mustPost(t, ts.URL+"/v1/evaluate", `{"topology":`+design+`,"seed":9,"trials":3,`+spec+`}`))
+				h.Write(mustPost(t, ts.URL+"/v1/whatif", `{"base":`+design+`,"seed":3,`+spec+
+					`,"scenarios":[{"failLinks":{"fraction":0.05,"seed":1}},{"failSwitches":{"fraction":0.1,"seed":2}}]}`))
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+			t.Errorf("workers=%d: sha256 %s, want %s", workers, got, want)
+		}
+	}
 }
