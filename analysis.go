@@ -1,6 +1,9 @@
 package jellyfish
 
 import (
+	"context"
+	"fmt"
+
 	"jellyfish/internal/bisection"
 	"jellyfish/internal/flowsim"
 	"jellyfish/internal/metrics"
@@ -21,18 +24,29 @@ const (
 	KSP8
 )
 
+// routingSchemes maps each scheme to its routing.Compiled.Table name and
+// its printed label.
+var routingSchemes = [...]struct{ table, label string }{
+	ECMP8:  {"ecmp8", "ECMP-8"},
+	ECMP64: {"ecmp64", "ECMP-64"},
+	KSP8:   {"ksp8", "8-shortest-paths"},
+}
+
 // String names the scheme.
 func (r RoutingScheme) String() string {
-	switch r {
-	case ECMP8:
-		return "ECMP-8"
-	case ECMP64:
-		return "ECMP-64"
-	case KSP8:
-		return "8-shortest-paths"
-	default:
+	if uint(r) >= uint(len(routingSchemes)) {
 		return "unknown"
 	}
+	return routingSchemes[r].label
+}
+
+// table returns the scheme's routing.Compiled.Table name. A value outside
+// the declared constants panics rather than run some other scheme.
+func (r RoutingScheme) table() string {
+	if uint(r) >= uint(len(routingSchemes)) {
+		panic(fmt.Sprintf("jellyfish: unknown RoutingScheme(%d)", int(r)))
+	}
+	return routingSchemes[r].table
 }
 
 // TransportProtocol selects the congestion-control model.
@@ -62,30 +76,12 @@ type PacketLevelResult struct {
 // optional trailing argument bounds route-construction parallelism
 // (default: all cores); the result is identical either way.
 func PacketLevelThroughput(t *Topology, scheme RoutingScheme, proto TransportProtocol, seed uint64, workers ...int) PacketLevelResult {
-	src := rng.New(seed)
-	pat := traffic.RandomPermutation(t.ServerSwitches(), src.Split("traffic"))
-	table := buildTable(t, pat, scheme, src.Split("routes"), firstOrZero(workers))
-	res := flowsim.Simulate(pat.Flows, table, proto, flowsim.SimSource(src, proto))
+	res := new(flowsim.Sim).Trial(context.Background(), routing.NewCompiled(t.Graph), t.ServerSwitches(),
+		scheme.table(), proto, rng.New(seed), firstOrZero(workers))
 	return PacketLevelResult{
 		MeanThroughput:  res.Mean(),
 		FlowThroughputs: res.FlowRate,
 		Fairness:        metrics.JainFairness(res.FlowRate),
-	}
-}
-
-func buildTable(t *Topology, pat *traffic.Pattern, scheme RoutingScheme, src *rng.Source, workers int) *routing.Table {
-	var sd [][2]int
-	for _, f := range pat.Flows {
-		sd = append(sd, [2]int{f.SrcSwitch, f.DstSwitch})
-	}
-	pairs := routing.PairsForCommodities(sd)
-	switch scheme {
-	case ECMP64:
-		return routing.ECMP(t.Graph, pairs, 64, src, workers)
-	case KSP8:
-		return routing.KShortest(t.Graph, pairs, 8, workers)
-	default:
-		return routing.ECMP(t.Graph, pairs, 8, src, workers)
 	}
 }
 
@@ -104,7 +100,7 @@ func firstOrZero(workers []int) int {
 func LinkPathCounts(t *Topology, scheme RoutingScheme, seed uint64, workers ...int) []int {
 	src := rng.New(seed)
 	pat := traffic.RandomPermutation(t.ServerSwitches(), src.Split("traffic"))
-	table := buildTable(t, pat, scheme, src.Split("routes"), firstOrZero(workers))
+	table := routing.NewCompiled(t.Graph).Table(scheme.table(), routing.PairsForPattern(pat), src.Split("routes"), firstOrZero(workers))
 	return routing.RankedLinkLoads(t.Graph, table)
 }
 

@@ -274,11 +274,7 @@ func BenchmarkMaxServersSearchPR2(b *testing.B) {
 func benchTransportKernel(b *testing.B, proto flowsim.Protocol) {
 	net := New(Config{Switches: 80, Ports: 16, NetworkDegree: 12, Seed: 1})
 	pat := traffic.RandomPermutation(net.ServerSwitches(), rng.New(7))
-	var sd [][2]int
-	for _, f := range pat.Flows {
-		sd = append(sd, [2]int{f.SrcSwitch, f.DstSwitch})
-	}
-	table := routing.KShortest(net.Graph, routing.PairsForCommodities(sd), 8, 0)
+	table := routing.NewCompiled(net.Graph).KShortest(routing.PairsForPattern(pat), 8, 0)
 	sim := flowsim.NewSim(net.Graph.N(), net.NumServers())
 	src := rng.New(3)
 	var res flowsim.Result

@@ -31,11 +31,8 @@ func AblationRoutingK(opt Options) *Table {
 	src := rng.New(opt.Seed).Split("ablation-k")
 	top := topology.Jellyfish(n, ports, deg, src.Split("topo"))
 	pat := traffic.RandomPermutation(top.ServerSwitches(), src.Split("traffic"))
-	var sd [][2]int
-	for _, f := range pat.Flows {
-		sd = append(sd, [2]int{f.SrcSwitch, f.DstSwitch})
-	}
-	pairs := routing.PairsForCommodities(sd)
+	pairs := routing.PairsForPattern(pat)
+	compiled := routing.NewCompiled(top.Graph)
 
 	t := &Table{
 		ID:      "ablation-routing-k",
@@ -46,10 +43,10 @@ func AblationRoutingK(opt Options) *Table {
 	w := opt.workers()
 	tps := parallel.Map(w, len(ks), func(i int) float64 {
 		k := ks[i]
-		table := routing.KShortest(top.Graph, pairs, k, w)
+		table := compiled.KShortest(pairs, k, w)
 		// MPTCP8 consumes no randomness; no dead "sim" split (flowsim's
 		// stream contract).
-		return flowsim.Simulate(pat.Flows, table, flowsim.MPTCP8, nil).Mean()
+		return new(flowsim.Sim).Simulate(pat.Flows, table, flowsim.MPTCP8, nil).Mean()
 	})
 	for i, k := range ks {
 		t.AddRow(k, tps[i])
@@ -319,7 +316,8 @@ func AblationPacketVsFluid(opt Options) *Table {
 		tsrc := src.Split(fmt.Sprintf("s%d", servers))
 		top := spread(servers/3, 12, servers, tsrc.Split("topo"))
 		pat := traffic.RandomPermutation(top.ServerSwitches(), tsrc.Split("traffic"))
-		insts[si] = instance{tsrc, top, pat, routeTable(top, pat, "ksp8", tsrc.Split("routes"), w)}
+		table := routing.NewCompiled(top.Graph).Table("ksp8", routing.PairsForPattern(pat), tsrc.Split("routes"), w)
+		insts[si] = instance{tsrc, top, pat, table}
 	}
 	rows := make([][3]float64, len(sizes))
 	n := 2 * len(sizes)
@@ -330,12 +328,12 @@ func AblationPacketVsFluid(opt Options) *Table {
 			row[0] = mcfThroughput(in.top, in.tsrc.Split("mcf"), 1)
 			// MPTCP8 consumes no randomness; no dead "fluid" split
 			// (flowsim's stream contract).
-			row[1] = flowsim.Simulate(in.pat.Flows, in.table, flowsim.MPTCP8, nil).Mean()
+			row[1] = new(flowsim.Sim).Simulate(in.pat.Flows, in.table, flowsim.MPTCP8, nil).Mean()
 			return
 		}
 		// The DES keeps its stream: uncoupled configs hash routes from it,
 		// so the signature stays uniform there.
-		row[2] = packetsim.Simulate(in.pat.Flows, in.table,
+		row[2] = packetsim.NewSim(in.top.NumSwitches(), in.top.NumServers()).Simulate(in.pat.Flows, in.table,
 			packetsim.Config{Subflows: 8, Coupled: true, Horizon: 6000}, in.tsrc.Split("des")).Mean()
 	})
 	for si, servers := range sizes {

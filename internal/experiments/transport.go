@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"jellyfish/internal/capsearch"
@@ -13,30 +14,6 @@ import (
 	"jellyfish/internal/topology"
 	"jellyfish/internal/traffic"
 )
-
-// compiledTable builds the pattern's table under the named scheme from a
-// compiled routing instance, fanning per-source/per-pair computations out
-// over workers goroutines. Bit-identical to building from scratch
-// (routing.Compiled's contract); repeated builds on one instance pay only
-// for pairs and sources it has not seen.
-func compiledTable(c *routing.Compiled, pat *traffic.Pattern, scheme string, src *rng.Source, workers int) *routing.Table {
-	pairs := routing.PairsForPattern(pat)
-	switch scheme {
-	case "ecmp64":
-		return c.ECMP(pairs, 64, src, workers)
-	case "ksp8":
-		return c.KShortest(pairs, 8, workers)
-	default:
-		return c.ECMP(pairs, 8, src, workers)
-	}
-}
-
-// routeTable builds the table for a pattern under the named scheme on a
-// throwaway compiled instance — the one-shot form for call sites that
-// use a topology only once.
-func routeTable(t *topology.Topology, pat *traffic.Pattern, scheme string, src *rng.Source, workers int) *routing.Table {
-	return compiledTable(routing.NewCompiled(t.Graph), pat, scheme, src, workers)
-}
 
 // A transportKit is the compiled per-topology transport instance shared
 // across an experiment's trials: one routing.Compiled (thread-safe,
@@ -65,26 +42,17 @@ func newTransportKit(top *topology.Topology, workers int) *transportKit {
 	return k
 }
 
-// simMean runs one trial of the flow simulator on the kit's topology and
-// returns mean per-server throughput, using the given worker slot's
-// scratch. Stream-for-stream identical to the pre-kit one-shot simMean:
-// "traffic" seeds the permutation, "routes" the table build, and "sim"
-// the subflow hashing — except that the "sim" split is never derived for
-// MPTCP8, which consumes no randomness (flowsim's stream contract; the
-// split would be dead, and dropping it everywhere keeps any future
-// consumption from silently shifting pinned streams).
+// simMean runs one flowsim.Sim.Trial on the kit's topology and returns
+// mean per-server throughput, using the given worker slot's scratch.
+// Bit-identical to the fresh-state simMean.
 func (k *transportKit) simMean(worker int, scheme string, proto flowsim.Protocol, src *rng.Source) float64 {
-	pat := traffic.RandomPermutation(k.srv, src.Split("traffic"))
-	table := compiledTable(k.compiled, pat, scheme, src.Split("routes"), 1)
-	return k.sims[worker].Simulate(pat.Flows, table, proto, flowsim.SimSource(src, proto)).Mean()
+	return k.sims[worker].Trial(context.Background(), k.compiled, k.srv, scheme, proto, src, 1).Mean()
 }
 
-// simMean is the one-shot form of transportKit.simMean for topologies
-// used in a single trial.
+// simMean is transportKit.simMean on fresh state, for topologies used in
+// a single trial.
 func simMean(t *topology.Topology, scheme string, proto flowsim.Protocol, src *rng.Source, workers int) float64 {
-	pat := traffic.RandomPermutation(t.ServerSwitches(), src.Split("traffic"))
-	table := routeTable(t, pat, scheme, src.Split("routes"), workers)
-	return flowsim.Simulate(pat.Flows, table, proto, flowsim.SimSource(src, proto)).Mean()
+	return new(flowsim.Sim).Trial(context.Background(), routing.NewCompiled(t.Graph), t.ServerSwitches(), scheme, proto, src, workers).Mean()
 }
 
 // table1Sizes returns the fat-tree arity and matching jellyfish server
@@ -108,9 +76,10 @@ func Fig9ECMPPathCounts(opt Options) *Table {
 
 	schemes := []string{"ecmp8", "ecmp64", "ksp8"}
 	compiled := routing.NewCompiled(jf.Graph)
+	pairs := routing.PairsForPattern(pat)
 	ranked := parallel.Map(opt.workers(), len(schemes), func(i int) []int {
 		scheme := schemes[i]
-		return routing.RankedLinkLoads(jf.Graph, compiledTable(compiled, pat, scheme, src.Split(scheme), opt.workers()))
+		return routing.RankedLinkLoads(jf.Graph, compiled.Table(scheme, pairs, src.Split(scheme), opt.workers()))
 	})
 	series := map[string][]int{}
 	for i, scheme := range schemes {
@@ -284,7 +253,7 @@ func packetLevelMaxServers(k int, trials int, src *rng.Source, workers int) (ftS
 		compiled := routing.NewCompiled(top.Graph)
 		vals := parallel.MapWorker(workers, trials, func(worker, i int) float64 {
 			pat := traffic.NestedCycle(assign, trafficSrc.SplitN("trial", i))
-			table := compiledTable(compiled, pat, "ksp8", nil, 1)
+			table := compiled.Table("ksp8", routing.PairsForPattern(pat), nil, 1)
 			return sims[worker].Simulate(pat.Flows, table, flowsim.MPTCP8, nil).Mean() / float64(trials)
 		})
 		tp := 0.0
@@ -396,11 +365,7 @@ func Fig13Fairness(opt Options) *Table {
 
 	w := opt.workers()
 	run := func(top *topology.Topology, scheme string, s *rng.Source) []float64 {
-		pat := traffic.RandomPermutation(top.ServerSwitches(), s.Split("traffic"))
-		table := routeTable(top, pat, scheme, s.Split("routes"), w)
-		// MPTCP8 consumes no randomness; no dead "sim" split (flowsim's
-		// stream contract).
-		return flowsim.Simulate(pat.Flows, table, flowsim.MPTCP8, nil).FlowRate
+		return new(flowsim.Sim).Trial(context.Background(), routing.NewCompiled(top.Graph), top.ServerSwitches(), scheme, flowsim.MPTCP8, s, w).FlowRate
 	}
 	rates := parallel.Map(w, 2, func(i int) []float64 {
 		if i == 0 {

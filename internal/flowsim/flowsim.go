@@ -25,12 +25,11 @@
 //     long paths carry (almost) nothing, so extra k-shortest paths help
 //     and never hurt.
 //
-// The hot entry point is the compiled instance: build one Sim, call
-// Simulate on it repeatedly; every internal array is reused across calls
-// (the arena id mapping is invalidated by generation stamp, never
-// cleared) and the steady-state call allocates nothing
-// (TestTransportZeroAllocs pins 0 allocs/op). The package-level Simulate
-// is the one-shot convenience form.
+// The entry point is the compiled instance: build one Sim, call Simulate
+// (or Trial) on it repeatedly; every internal array is reused across
+// calls (the arena id mapping is invalidated by generation stamp, never
+// cleared) and the steady-state Simulate call allocates nothing
+// (TestTransportZeroAllocs pins 0 allocs/op).
 //
 // Random-stream contract: src is consumed ONLY for subflow path hashing,
 // i.e. by TCP1 and TCP8. MPTCP8 is a pure function of (flows, table) — its
@@ -208,11 +207,22 @@ func (s *Sim) SimulateContext(ctx context.Context, flows []traffic.Flow, table *
 	return s.simulateSubflows(ctx, flows, table, proto, src)
 }
 
-// Simulate is the one-shot form: it builds a throwaway Sim, so the result
-// buffer is not shared and the call costs the full compile. Use a Sim for
-// repeated simulation.
-func Simulate(flows []traffic.Flow, table *routing.Table, proto Protocol, src *rng.Source) Result {
-	return new(Sim).Simulate(flows, table, proto, src)
+// Trial runs one transport trial on c's topology — the recipe behind the
+// paper's §5 results — given srv, its server→switch map:
+//
+//  1. a random permutation over srv, drawn from src.Split("traffic");
+//  2. the named scheme's route table (routing.Compiled.Table), built from
+//     src.Split("routes");
+//  3. SimulateContext, seeded by SimSource(src, proto).
+//
+// Every transport trial in the module runs through here, so those three
+// splits are the one stream contract of a trial. workers bounds route
+// construction only; the result is identical for every value. The Result
+// aliases the Sim's rate buffer, as Simulate's does.
+func (s *Sim) Trial(ctx context.Context, c *routing.Compiled, srv []int, scheme string, proto Protocol, src *rng.Source, workers int) Result {
+	pat := traffic.RandomPermutation(srv, src.Split("traffic"))
+	table := c.Table(scheme, routing.PairsForPattern(pat), src.Split("routes"), workers)
+	return s.SimulateContext(ctx, pat.Flows, table, proto, SimSource(src, proto))
 }
 
 // beginCall starts a new generation and sizes the per-flow buffers.

@@ -22,22 +22,18 @@ func lineFlows() ([]traffic.Flow, *graph.Graph) {
 }
 
 func tableFor(g *graph.Graph, flows []traffic.Flow, kind string, k int) *routing.Table {
-	var sd [][2]int
-	for _, f := range flows {
-		sd = append(sd, [2]int{f.SrcSwitch, f.DstSwitch})
-	}
-	pairs := routing.PairsForCommodities(sd)
+	pairs := routing.PairsForPattern(&traffic.Pattern{Flows: flows})
 	if kind == "ecmp" {
-		return routing.ECMP(g, pairs, k, rng.New(99), 1)
+		return routing.NewCompiled(g).ECMP(pairs, k, rng.New(99), 1)
 	}
-	return routing.KShortest(g, pairs, k, 1)
+	return routing.NewCompiled(g).KShortest(pairs, k, 1)
 }
 
 func TestSingleFlowFullRate(t *testing.T) {
 	flows, g := lineFlows()
 	table := tableFor(g, flows, "ecmp", 8)
 	for _, proto := range []Protocol{TCP1, TCP8, MPTCP8} {
-		res := Simulate(flows, table, proto, rng.New(1))
+		res := new(Sim).Simulate(flows, table, proto, rng.New(1))
 		if math.Abs(res.FlowRate[0]-1) > 1e-9 {
 			t.Fatalf("%v: rate = %v, want 1", proto, res.FlowRate[0])
 		}
@@ -52,7 +48,7 @@ func TestTwoFlowsShareLink(t *testing.T) {
 		{SrcServer: 1, DstServer: 3, SrcSwitch: 0, DstSwitch: 1},
 	}
 	table := tableFor(g, flows, "ecmp", 8)
-	res := Simulate(flows, table, TCP1, rng.New(1))
+	res := new(Sim).Simulate(flows, table, TCP1, rng.New(1))
 	for i, r := range res.FlowRate {
 		if math.Abs(r-0.5) > 1e-9 {
 			t.Fatalf("flow %d rate = %v, want 0.5", i, r)
@@ -67,7 +63,7 @@ func TestIntraSwitchFlowFullRate(t *testing.T) {
 		{SrcServer: 0, DstServer: 1, SrcSwitch: 0, DstSwitch: 0},
 	}
 	table := tableFor(g, flows, "ecmp", 8)
-	res := Simulate(flows, table, TCP1, rng.New(1))
+	res := new(Sim).Simulate(flows, table, TCP1, rng.New(1))
 	if res.FlowRate[0] != 1 {
 		t.Fatalf("intra-switch rate = %v, want 1", res.FlowRate[0])
 	}
@@ -79,7 +75,7 @@ func TestDisconnectedFlowZero(t *testing.T) {
 		{SrcServer: 0, DstServer: 1, SrcSwitch: 0, DstSwitch: 1},
 	}
 	table := tableFor(g, flows, "ecmp", 8)
-	res := Simulate(flows, table, MPTCP8, rng.New(1))
+	res := new(Sim).Simulate(flows, table, MPTCP8, rng.New(1))
 	if res.FlowRate[0] != 0 {
 		t.Fatalf("disconnected rate = %v, want 0", res.FlowRate[0])
 	}
@@ -96,7 +92,7 @@ func TestMPTCPUsesDisjointPaths(t *testing.T) {
 		{SrcServer: 0, DstServer: 1, SrcSwitch: 0, DstSwitch: 2},
 	}
 	table := tableFor(g, flows, "ksp", 8)
-	res := Simulate(flows, table, MPTCP8, rng.New(1))
+	res := new(Sim).Simulate(flows, table, MPTCP8, rng.New(1))
 	if math.Abs(res.FlowRate[0]-1) > 1e-9 {
 		t.Fatalf("MPTCP rate = %v, want 1 (NIC-capped)", res.FlowRate[0])
 	}
@@ -113,7 +109,7 @@ func TestNICSharedBySubflows(t *testing.T) {
 		{SrcServer: 0, DstServer: 2, SrcSwitch: 0, DstSwitch: 2},
 	}
 	table := tableFor(g, flows, "ecmp", 8)
-	res := Simulate(flows, table, MPTCP8, rng.New(1))
+	res := new(Sim).Simulate(flows, table, MPTCP8, rng.New(1))
 	total := res.FlowRate[0] + res.FlowRate[1]
 	if math.Abs(total-1) > 1e-9 {
 		t.Fatalf("flows from one NIC total %v, want 1", total)
@@ -125,21 +121,17 @@ func TestNICSharedBySubflows(t *testing.T) {
 func TestProtocolOrderingOnJellyfish(t *testing.T) {
 	top := topology.Jellyfish(30, 8, 5, rng.New(3))
 	pat := traffic.RandomPermutation(top.ServerSwitches(), rng.New(4))
-	var sd [][2]int
-	for _, f := range pat.Flows {
-		sd = append(sd, [2]int{f.SrcSwitch, f.DstSwitch})
-	}
-	pairs := routing.PairsForCommodities(sd)
-	ecmp := routing.ECMP(top.Graph, pairs, 8, rng.New(99), 1)
-	ksp := routing.KShortest(top.Graph, pairs, 8, 1)
+	pairs := routing.PairsForPattern(pat)
+	ecmp := routing.NewCompiled(top.Graph).ECMP(pairs, 8, rng.New(99), 1)
+	ksp := routing.NewCompiled(top.Graph).KShortest(pairs, 8, 1)
 
-	tcp1 := Simulate(pat.Flows, ecmp, TCP1, rng.New(5)).Mean()
-	mptcpKSP := Simulate(pat.Flows, ksp, MPTCP8, rng.New(5)).Mean()
+	tcp1 := new(Sim).Simulate(pat.Flows, ecmp, TCP1, rng.New(5)).Mean()
+	mptcpKSP := new(Sim).Simulate(pat.Flows, ksp, MPTCP8, rng.New(5)).Mean()
 	if mptcpKSP <= tcp1 {
 		t.Fatalf("MPTCP/8SP mean %v not above TCP1/ECMP %v", mptcpKSP, tcp1)
 	}
 	// And everything must respect the NIC.
-	for _, r := range Simulate(pat.Flows, ksp, MPTCP8, rng.New(5)).FlowRate {
+	for _, r := range new(Sim).Simulate(pat.Flows, ksp, MPTCP8, rng.New(5)).FlowRate {
 		if r < 0 || r > 1+1e-9 {
 			t.Fatalf("rate %v out of [0,1]", r)
 		}
@@ -161,7 +153,7 @@ func TestLinkCapacityRespected(t *testing.T) {
 	}
 	table := tableFor(g, flows, "ecmp", 8)
 	for _, proto := range []Protocol{TCP1, TCP8, MPTCP8} {
-		res := Simulate(flows, table, proto, rng.New(7))
+		res := new(Sim).Simulate(flows, table, proto, rng.New(7))
 		var total float64
 		for _, r := range res.FlowRate {
 			total += r
@@ -193,13 +185,9 @@ func TestProtocolStrings(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	top := topology.Jellyfish(20, 6, 3, rng.New(11))
 	pat := traffic.RandomPermutation(top.ServerSwitches(), rng.New(12))
-	var sd [][2]int
-	for _, f := range pat.Flows {
-		sd = append(sd, [2]int{f.SrcSwitch, f.DstSwitch})
-	}
-	table := routing.ECMP(top.Graph, routing.PairsForCommodities(sd), 8, rng.New(99), 1)
-	a := Simulate(pat.Flows, table, TCP8, rng.New(13))
-	b := Simulate(pat.Flows, table, TCP8, rng.New(13))
+	table := routing.NewCompiled(top.Graph).ECMP(routing.PairsForPattern(pat), 8, rng.New(99), 1)
+	a := new(Sim).Simulate(pat.Flows, table, TCP8, rng.New(13))
+	b := new(Sim).Simulate(pat.Flows, table, TCP8, rng.New(13))
 	for i := range a.FlowRate {
 		if a.FlowRate[i] != b.FlowRate[i] {
 			t.Fatal("same seed produced different rates")
@@ -221,7 +209,7 @@ func TestCoupledSpillsAcrossPaths(t *testing.T) {
 		{SrcServer: 1, DstServer: 3, SrcSwitch: 0, DstSwitch: 3},
 	}
 	table := tableFor(g, flows, "ksp", 8)
-	res := Simulate(flows, table, MPTCP8, rng.New(31))
+	res := new(Sim).Simulate(flows, table, MPTCP8, rng.New(31))
 	total := res.FlowRate[0] + res.FlowRate[1]
 	if math.Abs(total-2) > 1e-9 {
 		t.Fatalf("two flows over two disjoint paths total %v, want 2", total)
@@ -248,7 +236,7 @@ func TestCoupledIgnoresUselessLongPath(t *testing.T) {
 		{SrcServer: 2, DstServer: 3, SrcSwitch: 2, DstSwitch: 3}, // hostile on 2-3
 	}
 	table := tableFor(g, flows, "ksp", 8)
-	res := Simulate(flows, table, MPTCP8, rng.New(33))
+	res := new(Sim).Simulate(flows, table, MPTCP8, rng.New(33))
 	if res.FlowRate[0] < 1-1e-9 {
 		t.Fatalf("coupled flow got %v, want full rate via its clean direct path", res.FlowRate[0])
 	}

@@ -19,16 +19,12 @@ type instance struct {
 func jellyfishInstance(switches, ports, deg int, seed uint64, ksp bool) instance {
 	top := topology.Jellyfish(switches, ports, deg, rng.New(seed))
 	pat := traffic.RandomPermutation(top.ServerSwitches(), rng.New(seed+1))
-	var sd [][2]int
-	for _, f := range pat.Flows {
-		sd = append(sd, [2]int{f.SrcSwitch, f.DstSwitch})
-	}
-	pairs := routing.PairsForCommodities(sd)
+	pairs := routing.PairsForPattern(pat)
 	var table *routing.Table
 	if ksp {
-		table = routing.KShortest(top.Graph, pairs, 8, 1)
+		table = routing.NewCompiled(top.Graph).KShortest(pairs, 8, 1)
 	} else {
-		table = routing.ECMP(top.Graph, pairs, 8, rng.New(seed+2), 1)
+		table = routing.NewCompiled(top.Graph).ECMP(pairs, 8, rng.New(seed+2), 1)
 	}
 	return instance{flows: pat.Flows, table: table}
 }
@@ -48,7 +44,7 @@ func TestSimReuseMatchesOneShot(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for ii, in := range instances {
 			for _, proto := range []Protocol{TCP1, TCP8, MPTCP8} {
-				want := Simulate(in.flows, in.table, proto, rng.New(9))
+				want := new(Sim).Simulate(in.flows, in.table, proto, rng.New(9))
 				got := sim.Simulate(in.flows, in.table, proto, rng.New(9))
 				if len(got.FlowRate) != len(want.FlowRate) {
 					t.Fatalf("round %d instance %d %v: %d rates, want %d", round, ii, proto, len(got.FlowRate), len(want.FlowRate))
@@ -89,17 +85,17 @@ func TestTransportZeroAllocs(t *testing.T) {
 // future change can silently shift every derived stream.
 func TestMPTCPIgnoresSource(t *testing.T) {
 	in := jellyfishInstance(30, 10, 7, 7, true)
-	a := Simulate(in.flows, in.table, MPTCP8, rng.New(1))
-	b := Simulate(in.flows, in.table, MPTCP8, rng.New(999))
-	c := Simulate(in.flows, in.table, MPTCP8, nil)
+	a := new(Sim).Simulate(in.flows, in.table, MPTCP8, rng.New(1))
+	b := new(Sim).Simulate(in.flows, in.table, MPTCP8, rng.New(999))
+	c := new(Sim).Simulate(in.flows, in.table, MPTCP8, nil)
 	for i := range a.FlowRate {
 		if a.FlowRate[i] != b.FlowRate[i] || a.FlowRate[i] != c.FlowRate[i] {
 			t.Fatalf("flow %d: MPTCP8 rate depends on src (%v / %v / %v)", i, a.FlowRate[i], b.FlowRate[i], c.FlowRate[i])
 		}
 	}
 	// And the contract is meaningful: TCP8 does consume the stream.
-	x := Simulate(in.flows, in.table, TCP8, rng.New(1))
-	y := Simulate(in.flows, in.table, TCP8, rng.New(999))
+	x := new(Sim).Simulate(in.flows, in.table, TCP8, rng.New(1))
+	y := new(Sim).Simulate(in.flows, in.table, TCP8, rng.New(999))
 	same := true
 	for i := range x.FlowRate {
 		if x.FlowRate[i] != y.FlowRate[i] {

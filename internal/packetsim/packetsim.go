@@ -181,8 +181,6 @@ type Sim struct {
 
 // NewSim returns a Sim pre-sized for the given switch and server counts
 // (both lower bounds; the arena grows on demand).
-//
-//jellyvet:allow deadexport -- called by jfbench (nested module)
 func NewSim(switches, servers int) *Sim {
 	s := &Sim{}
 	s.arena.EnsureSwitches(switches)
@@ -313,12 +311,6 @@ func (s *Sim) Simulate(flows []traffic.Flow, table *routing.Table, cfgIn Config,
 		}
 	}
 	return Result{FlowGoodput: s.rates}
-}
-
-// Simulate is the one-shot form: it builds a throwaway Sim. Use a Sim for
-// repeated simulation.
-func Simulate(flows []traffic.Flow, table *routing.Table, cfgIn Config, src *rng.Source) Result {
-	return new(Sim).Simulate(flows, table, cfgIn, src)
 }
 
 // touch grows the busy-state tables to cover link arena id r and resets

@@ -16,22 +16,18 @@ func tcp1(c Config) Config  { c.Subflows = 1; return c }
 func mptcp(c Config) Config { c.Subflows = 8; c.Coupled = true; return c }
 
 func tableFor(g *graph.Graph, flows []traffic.Flow, ksp bool) *routing.Table {
-	var sd [][2]int
-	for _, f := range flows {
-		sd = append(sd, [2]int{f.SrcSwitch, f.DstSwitch})
-	}
-	pairs := routing.PairsForCommodities(sd)
+	pairs := routing.PairsForPattern(&traffic.Pattern{Flows: flows})
 	if ksp {
-		return routing.KShortest(g, pairs, 8, 1)
+		return routing.NewCompiled(g).KShortest(pairs, 8, 1)
 	}
-	return routing.ECMP(g, pairs, 8, rng.New(77), 1)
+	return routing.NewCompiled(g).ECMP(pairs, 8, rng.New(77), 1)
 }
 
 func TestSingleFlowSaturatesLink(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
 	flows := []traffic.Flow{{SrcServer: 0, DstServer: 1, SrcSwitch: 0, DstSwitch: 1}}
-	res := Simulate(flows, tableFor(g, flows, false), tcp1(Config{}), rng.New(1))
+	res := new(Sim).Simulate(flows, tableFor(g, flows, false), tcp1(Config{}), rng.New(1))
 	if res.FlowGoodput[0] < 0.85 {
 		t.Fatalf("single flow goodput = %v, want near line rate", res.FlowGoodput[0])
 	}
@@ -44,7 +40,7 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 		{SrcServer: 0, DstServer: 2, SrcSwitch: 0, DstSwitch: 1},
 		{SrcServer: 1, DstServer: 3, SrcSwitch: 0, DstSwitch: 1},
 	}
-	res := Simulate(flows, tableFor(g, flows, false), tcp1(Config{Horizon: 8000}), rng.New(2))
+	res := new(Sim).Simulate(flows, tableFor(g, flows, false), tcp1(Config{Horizon: 8000}), rng.New(2))
 	total := res.FlowGoodput[0] + res.FlowGoodput[1]
 	if total > 1.02 {
 		t.Fatalf("two flows exceed link capacity: %v", total)
@@ -63,7 +59,7 @@ func TestIntraSwitchFullRate(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
 	flows := []traffic.Flow{{SrcServer: 0, DstServer: 1, SrcSwitch: 0, DstSwitch: 0}}
-	res := Simulate(flows, tableFor(g, flows, false), tcp1(Config{}), rng.New(3))
+	res := new(Sim).Simulate(flows, tableFor(g, flows, false), tcp1(Config{}), rng.New(3))
 	if res.FlowGoodput[0] != 1 {
 		t.Fatalf("intra-switch goodput = %v, want 1", res.FlowGoodput[0])
 	}
@@ -72,7 +68,7 @@ func TestIntraSwitchFullRate(t *testing.T) {
 func TestDisconnectedZero(t *testing.T) {
 	g := graph.New(2)
 	flows := []traffic.Flow{{SrcServer: 0, DstServer: 1, SrcSwitch: 0, DstSwitch: 1}}
-	res := Simulate(flows, tableFor(g, flows, false), tcp1(Config{}), rng.New(4))
+	res := new(Sim).Simulate(flows, tableFor(g, flows, false), tcp1(Config{}), rng.New(4))
 	if res.FlowGoodput[0] != 0 {
 		t.Fatalf("disconnected goodput = %v, want 0", res.FlowGoodput[0])
 	}
@@ -85,7 +81,7 @@ func TestNICBoundsMPTCP(t *testing.T) {
 		g.AddEdge(i, (i+1)%4)
 	}
 	flows := []traffic.Flow{{SrcServer: 0, DstServer: 1, SrcSwitch: 0, DstSwitch: 2}}
-	res := Simulate(flows, tableFor(g, flows, true), mptcp(Config{}), rng.New(5))
+	res := new(Sim).Simulate(flows, tableFor(g, flows, true), mptcp(Config{}), rng.New(5))
 	if res.FlowGoodput[0] > 1 {
 		t.Fatalf("goodput %v exceeds NIC", res.FlowGoodput[0])
 	}
@@ -105,7 +101,7 @@ func TestMPTCPUsesBothDisjointPaths(t *testing.T) {
 		{SrcServer: 0, DstServer: 2, SrcSwitch: 0, DstSwitch: 2},
 		{SrcServer: 1, DstServer: 3, SrcSwitch: 0, DstSwitch: 2},
 	}
-	res := Simulate(flows, tableFor(g, flows, true), mptcp(Config{Horizon: 8000}), rng.New(6))
+	res := new(Sim).Simulate(flows, tableFor(g, flows, true), mptcp(Config{Horizon: 8000}), rng.New(6))
 	total := res.FlowGoodput[0] + res.FlowGoodput[1]
 	if total < 1.3 {
 		t.Fatalf("two MPTCP flows over two disjoint paths total %v, want > 1.3", total)
@@ -127,8 +123,8 @@ func TestAgreesWithFlowsim(t *testing.T) {
 	pat := traffic.RandomPermutation(top.ServerSwitches(), rng.New(8))
 	for _, ksp := range []bool{false, true} {
 		table := tableFor(top.Graph, pat.Flows, ksp)
-		fluid := flowsim.Simulate(pat.Flows, table, flowsim.MPTCP8, rng.New(9)).Mean()
-		pkt := Simulate(pat.Flows, table, mptcp(Config{Horizon: 6000}), rng.New(9)).Mean()
+		fluid := new(flowsim.Sim).Simulate(pat.Flows, table, flowsim.MPTCP8, rng.New(9)).Mean()
+		pkt := new(Sim).Simulate(pat.Flows, table, mptcp(Config{Horizon: 6000}), rng.New(9)).Mean()
 		if math.Abs(pkt-fluid) > 0.20 {
 			t.Fatalf("ksp=%v: packet %v vs fluid %v diverge by more than 0.20", ksp, pkt, fluid)
 		}
@@ -142,8 +138,8 @@ func TestDeterministic(t *testing.T) {
 	top := topology.Jellyfish(15, 8, 5, rng.New(10))
 	pat := traffic.RandomPermutation(top.ServerSwitches(), rng.New(11))
 	table := tableFor(top.Graph, pat.Flows, true)
-	a := Simulate(pat.Flows, table, mptcp(Config{}), rng.New(12))
-	b := Simulate(pat.Flows, table, mptcp(Config{}), rng.New(12))
+	a := new(Sim).Simulate(pat.Flows, table, mptcp(Config{}), rng.New(12))
+	b := new(Sim).Simulate(pat.Flows, table, mptcp(Config{}), rng.New(12))
 	for i := range a.FlowGoodput {
 		if a.FlowGoodput[i] != b.FlowGoodput[i] {
 			t.Fatal("same seed, different goodput")
@@ -157,7 +153,7 @@ func TestUncoupledTCP8(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
 	flows := []traffic.Flow{{SrcServer: 0, DstServer: 1, SrcSwitch: 0, DstSwitch: 1}}
-	res := Simulate(flows, tableFor(g, flows, false), Config{Subflows: 8}, rng.New(13))
+	res := new(Sim).Simulate(flows, tableFor(g, flows, false), Config{Subflows: 8}, rng.New(13))
 	if res.FlowGoodput[0] > 1 {
 		t.Fatalf("goodput %v exceeds NIC", res.FlowGoodput[0])
 	}
@@ -176,8 +172,8 @@ func TestQueueCapacityMatters(t *testing.T) {
 		flows = append(flows, traffic.Flow{SrcServer: i, DstServer: 8 + i, SrcSwitch: 0, DstSwitch: 1})
 	}
 	table := tableFor(g, flows, false)
-	tiny := Simulate(flows, table, Config{Subflows: 1, QueuePackets: 2, Horizon: 6000}, rng.New(14))
-	big := Simulate(flows, table, Config{Subflows: 1, QueuePackets: 256, Horizon: 6000}, rng.New(14))
+	tiny := new(Sim).Simulate(flows, table, Config{Subflows: 1, QueuePackets: 2, Horizon: 6000}, rng.New(14))
+	big := new(Sim).Simulate(flows, table, Config{Subflows: 1, QueuePackets: 256, Horizon: 6000}, rng.New(14))
 	if tiny.Mean() > big.Mean()+0.02 {
 		t.Fatalf("tiny queues outperformed big queues: %v vs %v", tiny.Mean(), big.Mean())
 	}

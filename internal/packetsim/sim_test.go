@@ -20,11 +20,7 @@ type instance struct {
 func jellyfishInstance(switches, ports, deg int, seed uint64) instance {
 	top := topology.Jellyfish(switches, ports, deg, rng.New(seed))
 	pat := traffic.RandomPermutation(top.ServerSwitches(), rng.New(seed+1))
-	var sd [][2]int
-	for _, f := range pat.Flows {
-		sd = append(sd, [2]int{f.SrcSwitch, f.DstSwitch})
-	}
-	return instance{flows: pat.Flows, table: routing.KShortest(top.Graph, routing.PairsForCommodities(sd), 8, 1)}
+	return instance{flows: pat.Flows, table: routing.NewCompiled(top.Graph).KShortest(routing.PairsForPattern(pat), 8, 1)}
 }
 
 // One Sim reused across differing instances and configs must reproduce
@@ -43,7 +39,7 @@ func TestSimReuseMatchesOneShot(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for ii, in := range instances {
 			for ci, cfg := range cfgs {
-				want := Simulate(in.flows, in.table, cfg, rng.New(33))
+				want := new(Sim).Simulate(in.flows, in.table, cfg, rng.New(33))
 				got := sim.Simulate(in.flows, in.table, cfg, rng.New(33))
 				if len(got.FlowGoodput) != len(want.FlowGoodput) {
 					t.Fatalf("round %d instance %d cfg %d: lengths differ", round, ii, ci)

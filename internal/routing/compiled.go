@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -17,10 +18,9 @@ import (
 // capacity search's trials within one probe, the planning service's
 // repeated transport evaluations) stop recomputing them.
 //
-// Tables built through a Compiled instance are bit-identical to the
-// package-level ECMP/KShortest constructors: the memoized values are pure
-// functions of (graph, key), and the ECMP sampling loop — the only
-// stream-consuming part — runs the identical code over them. Reuse
+// A table is the same whichever instance builds it: the memoized values
+// are pure functions of (graph, key), and the ECMP sampling loop — the
+// only stream-consuming part — runs the identical code over them. Reuse
 // changes wall-clock, never a path set (compiled_test.go pins this).
 //
 // A Compiled instance is safe for concurrent use; memoized path slices
@@ -54,11 +54,29 @@ func NewCompiled(g *graph.Graph) *Compiled {
 	return &Compiled{g: g, csr: g.CSR(), ksp: map[kspKey][]graph.Path{}, ecmp: map[int]*ecmpSource{}}
 }
 
-// KShortest builds the k-shortest-path table for the given pairs,
-// computing only the pairs this instance has not seen before (fanned out
-// over `workers` goroutines, each with its own flat-scratch KSPEngine)
-// and serving the rest from the memo. Bit-identical to the package-level
-// KShortest.
+// Table builds the route table of the named scheme for the given pairs:
+// "ecmp8" and "ecmp64" are 8- and 64-way ECMP sampled from src, "ksp8" is
+// 8-shortest-path routing, which consumes no randomness. The names are
+// the planning service's wire values and the experiments' stream labels.
+// Any other name panics. This is the one place a scheme name becomes a
+// path set.
+func (c *Compiled) Table(scheme string, pairs []Pair, src *rng.Source, workers int) *Table {
+	switch scheme {
+	case "ecmp8":
+		return c.ECMP(pairs, 8, src, workers)
+	case "ecmp64":
+		return c.ECMP(pairs, 64, src, workers)
+	case "ksp8":
+		return c.KShortest(pairs, 8, workers)
+	}
+	panic(fmt.Sprintf("routing: unknown scheme %q (want ecmp8, ecmp64 or ksp8)", scheme))
+}
+
+// KShortest builds the k-shortest-path table for the given pairs using
+// Yen's algorithm on the switch graph, computing only the pairs this
+// instance has not seen before (fanned out over `workers` goroutines,
+// 0 = all cores, each with its own flat-scratch KSPEngine) and serving
+// the rest from the memo. The table is identical for every worker count.
 func (c *Compiled) KShortest(pairs []Pair, k, workers int) *Table {
 	t := &Table{Paths: make(map[Pair][]graph.Path, len(pairs)), Kind: kindName("ksp", k)}
 	uniq := dedupPairs(pairs)
@@ -95,12 +113,17 @@ func (c *Compiled) KShortest(pairs []Pair, k, workers int) *Table {
 	return t
 }
 
-// ECMP builds an equal-cost multipath table for the given pairs, sampling
-// from src exactly like the package-level ECMP — per-source streams
-// derived by source id, destinations visited in first-appearance order —
-// but over memoized per-source BFS state, so repeated builds on one graph
-// pay the sampling cost only. Bit-identical to the package-level ECMP for
-// the same (pairs, w, src).
+// ECMP builds an equal-cost multipath table: for each pair, up to w
+// distinct shortest paths sampled uniformly from the shortest-path DAG —
+// modeling hash-based ECMP, which spreads flows over ALL equal-cost
+// next-hops rather than a lexicographically-first subset.
+//
+// Pairs are grouped by source and the groups fan out over `workers`
+// goroutines. Each source samples from its own stream, derived from src by
+// source id, visiting its destinations in first-appearance order — never
+// from a shared stream consumed in completion order — so the table is
+// identical for every worker count. The per-source BFS state is memoized,
+// so repeated builds on one graph pay the sampling cost only.
 func (c *Compiled) ECMP(pairs []Pair, w int, src *rng.Source, workers int) *Table {
 	t := &Table{Paths: make(map[Pair][]graph.Path, len(pairs)), Kind: kindName("ecmp", w)}
 	uniq := dedupPairs(pairs)

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"jellyfish/internal/rng"
@@ -31,8 +33,8 @@ func tablesEqual(t *testing.T, label string, a, b *Table) {
 	}
 }
 
-// A Compiled instance must produce tables byte-identical to the one-shot
-// constructors, on first build (cold memo), on rebuild (warm memo), and
+// A Compiled instance must produce tables byte-identical to a fresh
+// instance's, on first build (cold memo), on rebuild (warm memo), and
 // for pair sets that only partially overlap the memo.
 func TestCompiledMatchesOneShot(t *testing.T) {
 	top := topology.Jellyfish(40, 10, 6, rng.New(5))
@@ -46,10 +48,10 @@ func TestCompiledMatchesOneShot(t *testing.T) {
 	c := NewCompiled(g)
 	for round := 0; round < 2; round++ {
 		for _, pairs := range [][]Pair{pairsA, pairsB} {
-			tablesEqual(t, "ksp", KShortest(g, pairs, 8, 1), c.KShortest(pairs, 8, 2))
+			tablesEqual(t, "ksp", NewCompiled(g).KShortest(pairs, 8, 1), c.KShortest(pairs, 8, 2))
 			// Different k must not collide in the memo.
-			tablesEqual(t, "ksp4", KShortest(g, pairs, 4, 1), c.KShortest(pairs, 4, 1))
-			tablesEqual(t, "ecmp", ECMP(g, pairs, 8, rng.New(99), 1), c.ECMP(pairs, 8, rng.New(99), 2))
+			tablesEqual(t, "ksp4", NewCompiled(g).KShortest(pairs, 4, 1), c.KShortest(pairs, 4, 1))
+			tablesEqual(t, "ecmp", NewCompiled(g).ECMP(pairs, 8, rng.New(99), 1), c.ECMP(pairs, 8, rng.New(99), 2))
 		}
 	}
 }
@@ -75,7 +77,7 @@ func TestCompiledConcurrentUse(t *testing.T) {
 		pairs = append(pairs, Pair{s, (s + 11) % 30})
 	}
 	c := NewCompiled(top.Graph)
-	want := KShortest(top.Graph, pairs, 8, 1)
+	want := NewCompiled(top.Graph).KShortest(pairs, 8, 1)
 	done := make(chan *Table, 4)
 	for i := 0; i < 4; i++ {
 		go func() { done <- c.KShortest(pairs, 8, 1) }()
@@ -83,4 +85,21 @@ func TestCompiledConcurrentUse(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tablesEqual(t, "concurrent", want, <-done)
 	}
+}
+
+// Table maps each scheme name to its constructor and panics on any other
+// name, naming it, instead of quietly routing a different scheme.
+func TestTableSchemes(t *testing.T) {
+	top := topology.Jellyfish(20, 6, 4, rng.New(8))
+	pairs := []Pair{{0, 9}, {3, 14}, {7, 2}}
+	c := NewCompiled(top.Graph)
+	tablesEqual(t, "ecmp8", c.Table("ecmp8", pairs, rng.New(4), 1), NewCompiled(top.Graph).ECMP(pairs, 8, rng.New(4), 2))
+	tablesEqual(t, "ecmp64", c.Table("ecmp64", pairs, rng.New(4), 1), NewCompiled(top.Graph).ECMP(pairs, 64, rng.New(4), 2))
+	tablesEqual(t, "ksp8", c.Table("ksp8", pairs, nil, 1), NewCompiled(top.Graph).KShortest(pairs, 8, 2))
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"ksp4"`) {
+			t.Fatalf("unknown scheme: recovered %v, want a panic naming \"ksp4\"", r)
+		}
+	}()
+	c.Table("ksp4", pairs, nil, 1)
 }

@@ -29,29 +29,6 @@ func (t *Table) PathsFor(src, dst int) []graph.Path {
 	return t.Paths[Pair{src, dst}]
 }
 
-// KShortest builds a k-shortest-path table for the given pairs using Yen's
-// algorithm on the switch graph. The per-pair computations are independent
-// and fan out over `workers` goroutines (0 = all cores); the table is
-// identical for every worker count. One-shot form of Compiled.KShortest.
-func KShortest(g *graph.Graph, pairs []Pair, k, workers int) *Table {
-	return NewCompiled(g).KShortest(pairs, k, workers)
-}
-
-// ECMP builds an equal-cost multipath table: for each pair, up to w
-// distinct shortest paths sampled uniformly from the shortest-path DAG —
-// modeling hash-based ECMP, which spreads flows over ALL equal-cost
-// next-hops rather than a lexicographically-first subset. Pass src for
-// reproducible sampling.
-//
-// Pairs are grouped by source (one BFS serves every destination of that
-// source) and the groups fan out over `workers` goroutines. Each source
-// samples from its own stream, derived from src by source id — never from
-// a shared stream consumed in completion order — so the table is identical
-// for every worker count.
-func ECMP(g *graph.Graph, pairs []Pair, w int, src *rng.Source, workers int) *Table {
-	return NewCompiled(g).ECMP(pairs, w, src, workers)
-}
-
 // dedupPairs drops duplicate pairs, keeping first-appearance order.
 func dedupPairs(pairs []Pair) []Pair {
 	seen := make(map[Pair]bool, len(pairs))
@@ -257,28 +234,15 @@ func RankedLinkLoads(g *graph.Graph, t *Table) []int {
 }
 
 // PairsForPattern extracts the route-table pairs a traffic pattern needs:
-// the distinct (srcSwitch, dstSwitch) pairs of its flows, same-switch
-// flows dropped. The single definition of "which pairs a pattern routes",
-// shared by the experiment harness and the planning service.
+// the distinct (srcSwitch, dstSwitch) pairs of its flows in
+// first-appearance order, same-switch flows dropped. The single
+// definition of "which pairs a pattern routes".
 func PairsForPattern(pat *traffic.Pattern) []Pair {
-	sd := make([][2]int, 0, len(pat.Flows))
-	for _, f := range pat.Flows {
-		sd = append(sd, [2]int{f.SrcSwitch, f.DstSwitch})
-	}
-	return PairsForCommodities(sd)
-}
-
-// PairsForCommodities extracts the distinct switch pairs (src != dst) from
-// server-level flow endpoints.
-func PairsForCommodities(srcDst [][2]int) []Pair {
 	seen := map[Pair]bool{}
 	var out []Pair
-	for _, sd := range srcDst {
-		if sd[0] == sd[1] {
-			continue
-		}
-		p := Pair{sd[0], sd[1]}
-		if !seen[p] {
+	for _, f := range pat.Flows {
+		p := Pair{f.SrcSwitch, f.DstSwitch}
+		if p.Src != p.Dst && !seen[p] {
 			seen[p] = true
 			out = append(out, p)
 		}

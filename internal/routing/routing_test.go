@@ -6,10 +6,11 @@ import (
 	"jellyfish/internal/graph"
 	"jellyfish/internal/rng"
 	"jellyfish/internal/topology"
+	"jellyfish/internal/traffic"
 )
 
 func ecmp(g *graph.Graph, pairs []Pair, w int) *Table {
-	return ECMP(g, pairs, w, rng.New(99), 4)
+	return NewCompiled(g).ECMP(pairs, w, rng.New(99), 4)
 }
 
 func ring(n int) *graph.Graph {
@@ -47,7 +48,7 @@ func TestECMPExactlyWPathsAllReturned(t *testing.T) {
 		g.AddEdge(mid, 9)
 	}
 	for seed := uint64(1); seed <= 20; seed++ {
-		tab := ECMP(g, []Pair{{0, 9}}, 8, rng.New(seed), 1)
+		tab := NewCompiled(g).ECMP([]Pair{{0, 9}}, 8, rng.New(seed), 1)
 		paths := tab.PathsFor(0, 9)
 		if len(paths) != 8 {
 			t.Fatalf("seed %d: got %d of the 8 equal-cost paths: %v", seed, len(paths), paths)
@@ -102,7 +103,7 @@ func TestKShortestIncludesLonger(t *testing.T) {
 	g.AddEdge(0, 3)
 	g.AddEdge(3, 4)
 	g.AddEdge(4, 2)
-	tab := KShortest(g, []Pair{{0, 2}}, 8, 4)
+	tab := NewCompiled(g).KShortest([]Pair{{0, 2}}, 8, 4)
 	paths := tab.PathsFor(0, 2)
 	if len(paths) != 2 {
 		t.Fatalf("kSP paths = %v, want 2", paths)
@@ -117,7 +118,7 @@ func TestTableKinds(t *testing.T) {
 	if k := ecmp(g, nil, 64).Kind; k != "ecmp-64" {
 		t.Fatalf("kind = %q", k)
 	}
-	if k := KShortest(g, nil, 8, 4).Kind; k != "ksp-8" {
+	if k := NewCompiled(g).KShortest(nil, 8, 4).Kind; k != "ksp-8" {
 		t.Fatalf("kind = %q", k)
 	}
 }
@@ -128,7 +129,7 @@ func TestUnreachablePair(t *testing.T) {
 	if p := ecmp(g, []Pair{{0, 2}}, 8).PathsFor(0, 2); p != nil {
 		t.Fatalf("ECMP found paths to unreachable: %v", p)
 	}
-	if p := KShortest(g, []Pair{{0, 2}}, 8, 4).PathsFor(0, 2); p != nil {
+	if p := NewCompiled(g).KShortest([]Pair{{0, 2}}, 8, 4).PathsFor(0, 2); p != nil {
 		t.Fatalf("kSP found paths to unreachable: %v", p)
 	}
 }
@@ -138,7 +139,7 @@ func TestLinkLoadCountsDirected(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	tab := KShortest(g, []Pair{{0, 2}, {2, 0}}, 4, 4)
+	tab := NewCompiled(g).KShortest([]Pair{{0, 2}, {2, 0}}, 4, 4)
 	load := LinkLoad(g, tab)
 	if load[[2]int{0, 1}] != 1 || load[[2]int{1, 0}] != 1 {
 		t.Fatalf("directed loads = %v", load)
@@ -150,7 +151,7 @@ func TestLinkLoadCountsDirected(t *testing.T) {
 
 func TestLinkLoadIncludesUnusedLinks(t *testing.T) {
 	g := ring(6)
-	tab := KShortest(g, []Pair{{0, 1}}, 1, 4)
+	tab := NewCompiled(g).KShortest([]Pair{{0, 1}}, 1, 4)
 	load := LinkLoad(g, tab)
 	if len(load) != 12 {
 		t.Fatalf("got %d directed links, want 12", len(load))
@@ -168,7 +169,7 @@ func TestLinkLoadIncludesUnusedLinks(t *testing.T) {
 
 func TestRankedLinkLoadsSorted(t *testing.T) {
 	g := ring(6)
-	tab := KShortest(g, []Pair{{0, 3}, {1, 4}}, 4, 4)
+	tab := NewCompiled(g).KShortest([]Pair{{0, 3}, {1, 4}}, 4, 4)
 	ranks := RankedLinkLoads(g, tab)
 	for i := 1; i < len(ranks); i++ {
 		if ranks[i] < ranks[i-1] {
@@ -177,8 +178,10 @@ func TestRankedLinkLoadsSorted(t *testing.T) {
 	}
 }
 
-func TestPairsForCommodities(t *testing.T) {
-	pairs := PairsForCommodities([][2]int{{0, 1}, {0, 1}, {1, 1}, {2, 0}})
+func TestPairsForPattern(t *testing.T) {
+	pairs := PairsForPattern(&traffic.Pattern{Flows: []traffic.Flow{
+		{SrcSwitch: 0, DstSwitch: 1}, {SrcSwitch: 0, DstSwitch: 1}, {SrcSwitch: 1, DstSwitch: 1}, {SrcSwitch: 2, DstSwitch: 0},
+	}})
 	if len(pairs) != 2 {
 		t.Fatalf("pairs = %v, want 2 entries", pairs)
 	}
@@ -196,7 +199,7 @@ func TestKSPUsesMoreLinksThanECMP(t *testing.T) {
 		pairs = append(pairs, Pair{s, (s + 7) % 40})
 	}
 	ecmp := ecmp(top.Graph, pairs, 8)
-	ksp := KShortest(top.Graph, pairs, 8, 4)
+	ksp := NewCompiled(top.Graph).KShortest(pairs, 8, 4)
 	usedECMP, usedKSP := 0, 0
 	for _, c := range LinkLoad(top.Graph, ecmp) {
 		if c > 0 {
@@ -239,13 +242,13 @@ func TestTablesIdenticalAcrossWorkerCounts(t *testing.T) {
 		}
 		return true
 	}
-	kspSerial := KShortest(top.Graph, pairs, 8, 1)
-	ecmpSerial := ECMP(top.Graph, pairs, 8, rng.New(99), 1)
+	kspSerial := NewCompiled(top.Graph).KShortest(pairs, 8, 1)
+	ecmpSerial := NewCompiled(top.Graph).ECMP(pairs, 8, rng.New(99), 1)
 	for _, w := range []int{2, 8, 0} {
-		if !samePaths(kspSerial, KShortest(top.Graph, pairs, 8, w)) {
+		if !samePaths(kspSerial, NewCompiled(top.Graph).KShortest(pairs, 8, w)) {
 			t.Fatalf("kSP table differs at workers=%d", w)
 		}
-		if !samePaths(ecmpSerial, ECMP(top.Graph, pairs, 8, rng.New(99), w)) {
+		if !samePaths(ecmpSerial, NewCompiled(top.Graph).ECMP(pairs, 8, rng.New(99), w)) {
 			t.Fatalf("ECMP table differs at workers=%d", w)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"jellyfish/internal/rng"
 	"jellyfish/internal/routing"
 	"jellyfish/internal/topology"
-	"jellyfish/internal/traffic"
 )
 
 // This file turns normalized requests into plans: the executor closures
@@ -149,9 +148,7 @@ func (ts *TransportSpec) validate() *apiError {
 	if ts == nil {
 		return nil
 	}
-	switch ts.Protocol {
-	case "tcp1", "tcp8", "mptcp8":
-	default:
+	if _, ok := transportProtocols[ts.Protocol]; !ok {
 		return badRequest("invalid_config", "transport protocol %q not one of tcp1, tcp8, mptcp8", ts.Protocol)
 	}
 	if ts.Routing == "" {
@@ -165,16 +162,9 @@ func (ts *TransportSpec) validate() *apiError {
 	return nil
 }
 
-func (ts *TransportSpec) protocol() flowsim.Protocol {
-	switch ts.Protocol {
-	case "tcp1":
-		return flowsim.TCP1
-	case "tcp8":
-		return flowsim.TCP8
-	default:
-		return flowsim.MPTCP8
-	}
-}
+// transportProtocols maps the wire protocol names to flowsim's models;
+// validate checks against it and the trials read it.
+var transportProtocols = map[string]flowsim.Protocol{"tcp1": flowsim.TCP1, "tcp8": flowsim.TCP8, "mptcp8": flowsim.MPTCP8}
 
 // cacheKey distinguishes chains evaluated under different data planes.
 func (ts *TransportSpec) cacheKey() string {
@@ -190,15 +180,14 @@ func (ts *TransportSpec) cacheKey() string {
 //
 //jellyvet:confined
 type simAsset struct {
-	top      *topology.Topology
-	compiled *routing.Compiled
+	compiled *routing.Compiled // the base topology's routing
+	srv      []int             // the base topology's server→switch map
 	sim      *flowsim.Sim
-	srv      []int // server→switch scratch reused across trials
 }
 
 // transportAsset fetches or creates the family's compiled instance.
-// needTopology selects whether the built base topology and its compiled
-// routing are populated: evaluate runs on them, while what-if borrows
+// needTopology selects whether the base topology's compiled routing and
+// server map are populated: evaluate runs on them, while what-if borrows
 // only the simulator scratch (its scenarios mutate a private copy of the
 // topology, so building the base assets would be wasted work). They are
 // filled in lazily on the first evaluate over the family — every field
@@ -213,36 +202,12 @@ func transportAsset(w *worker, mat materialized, needTopology bool) *simAsset {
 		a = &simAsset{sim: flowsim.NewSim(0, mat.servers)}
 		w.cache.put(key, a)
 	}
-	if needTopology && a.top == nil {
-		a.top = mat.build()
-		a.compiled = routing.NewCompiled(a.top.Graph)
+	if needTopology && a.compiled == nil {
+		top := mat.build()
+		a.compiled = routing.NewCompiled(top.Graph)
+		a.srv = top.ServerSwitches()
 	}
 	return a
-}
-
-// transportThroughput runs one transport trial on top using the given
-// compiled routing instance and simulator scratch. Streams are derived
-// from the seed exactly like the experiment harness's simMean ("traffic",
-// "routes", and — for the hashed-subflow protocols only — "sim";
-// mptcp8 consumes no randomness, per flowsim's stream contract).
-// The srv buffer holds the server→switch map between trials; the pattern
-// built from it is dead before the next trial overwrites it.
-func transportThroughput(ctx context.Context, sim *flowsim.Sim, compiled *routing.Compiled, top *topology.Topology, spec *TransportSpec, seed uint64, srv *[]int) float64 {
-	src := rng.New(seed).Split("transport")
-	*srv = top.ServerSwitchesInto(*srv)
-	pat := traffic.RandomPermutation(*srv, src.Split("traffic"))
-	pairs := routing.PairsForPattern(pat)
-	var table *routing.Table
-	switch spec.Routing {
-	case "ecmp8":
-		table = compiled.ECMP(pairs, 8, src.Split("routes"), 1)
-	case "ecmp64":
-		table = compiled.ECMP(pairs, 64, src.Split("routes"), 1)
-	default:
-		table = compiled.KShortest(pairs, 8, 1)
-	}
-	proto := spec.protocol()
-	return sim.SimulateContext(ctx, pat.Flows, table, proto, flowsim.SimSource(src, proto)).Mean()
 }
 
 func planEvaluate(req *EvaluateRequest) (*plan, *apiError) {
@@ -298,7 +263,8 @@ func planEvaluate(req *EvaluateRequest) (*plan, *apiError) {
 				var bounds *[2]float64
 				switch {
 				case asset != nil:
-					lam = transportThroughput(ctx, asset.sim, asset.compiled, asset.top, req.Transport, req.Seed+uint64(i), &asset.srv)
+					lam = asset.sim.Trial(ctx, asset.compiled, asset.srv, req.Transport.Routing, transportProtocols[req.Transport.Protocol],
+						rng.New(req.Seed+uint64(i)).Split("transport"), 1).Mean()
 				case req.Estimator != nil:
 					// Certified bracket around the exact trial answer; the
 					// conservative (lower) side stands in as the trial's
@@ -483,7 +449,9 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 					Links: top.NumLinks(), Throughput: lam,
 				}
 				if req.Transport != nil {
-					tp := transportThroughput(ctx, simScratch, routing.NewCompiled(top.Graph), top, req.Transport, req.Seed, &srvBuf)
+					srvBuf = top.ServerSwitchesInto(srvBuf)
+					tp := simScratch.Trial(ctx, routing.NewCompiled(top.Graph), srvBuf, req.Transport.Routing, transportProtocols[req.Transport.Protocol],
+						rng.New(req.Seed).Split("transport"), 1).Mean()
 					st.TransportThroughput = &tp
 				}
 				return st

@@ -3,6 +3,8 @@ package jellyfish
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -305,5 +307,24 @@ func TestBisectionAPIs(t *testing.T) {
 func TestRoutingSchemeStrings(t *testing.T) {
 	if ECMP8.String() != "ECMP-8" || ECMP64.String() != "ECMP-64" || KSP8.String() != "8-shortest-paths" {
 		t.Fatal("scheme names wrong")
+	}
+}
+
+// A RoutingScheme outside the declared constants panics and names the
+// value; it used to run ECMP-8 while String said "unknown".
+func TestUnknownRoutingSchemePanics(t *testing.T) {
+	net := New(Config{Switches: 10, Ports: 6, NetworkDegree: 4, Seed: 23})
+	for name, call := range map[string]func(){
+		"PacketLevelThroughput": func() { PacketLevelThroughput(net, RoutingScheme(7), MPTCP8Subflows, 1) },
+		"LinkPathCounts":        func() { LinkPathCounts(net, RoutingScheme(7), 1) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "RoutingScheme(7)") {
+					t.Errorf("%s: recovered %v, want a panic naming RoutingScheme(7)", name, r)
+				}
+			}()
+			call()
+		}()
 	}
 }
