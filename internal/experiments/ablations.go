@@ -169,7 +169,7 @@ func AblationFailuresRealizableRouting(opt Options) *Table {
 		f := fracs[fi]
 		return parallel.SumFloat64(w, trials, func(i int) float64 {
 			tsrc := src.SplitN(fmt.Sprintf("f%.2f", f), i)
-			top := spread(n, ports, servers, tsrc.Split("topo"))
+			top := topology.JellyfishSpread(n, ports, servers, tsrc.Split("topo"))
 			topology.RemoveRandomLinks(top, f, tsrc.Split("fail"))
 			return simMean(top, "ksp8", flowsim.MPTCP8, tsrc.Split("sim"), 1) / float64(trials)
 		})
@@ -258,7 +258,7 @@ func AblationAllToAll(opt Options) *Table {
 	}
 	src := rng.New(opt.Seed).Split("ablation-a2a")
 	ft := topology.FatTree(k)
-	jf := spread(ft.NumSwitches(), k, ft.NumServers(), src.Split("jf"))
+	jf := topology.JellyfishSpread(ft.NumSwitches(), k, ft.NumServers(), src.Split("jf"))
 
 	t := &Table{
 		ID:      "ablation-alltoall",
@@ -314,7 +314,7 @@ func AblationPacketVsFluid(opt Options) *Table {
 	insts := make([]instance, len(sizes))
 	for si, servers := range sizes {
 		tsrc := src.Split(fmt.Sprintf("s%d", servers))
-		top := spread(servers/3, 12, servers, tsrc.Split("topo"))
+		top := topology.JellyfishSpread(servers/3, 12, servers, tsrc.Split("topo"))
 		pat := traffic.RandomPermutation(top.ServerSwitches(), tsrc.Split("traffic"))
 		table := routing.NewCompiled(top.Graph).Table("ksp8", routing.PairsForPattern(pat), tsrc.Split("routes"), w)
 		insts[si] = instance{tsrc, top, pat, table}

@@ -36,21 +36,6 @@ func meanMCFThroughput(t *topology.Topology, src *rng.Source, trials, workers in
 // in every "supports full rate" test (λ ≥ 1−slack accepts).
 const fullThroughputSlack = 0.03
 
-// spread builds a Jellyfish with servers spread evenly over switches.
-func spread(switches, ports, servers int, src *rng.Source) *topology.Topology {
-	portsPer := make([]int, switches)
-	serversPer := make([]int, switches)
-	base, extra := servers/switches, servers%switches
-	for i := range portsPer {
-		portsPer[i] = ports
-		serversPer[i] = base
-		if i < extra {
-			serversPer[i]++
-		}
-	}
-	return topology.JellyfishHeterogeneous(portsPer, serversPer, src)
-}
-
 // maxServersFullCapacity binary-searches the Fig. 2(c)/Fig. 11 quantity
 // with the given feasibility check.
 func maxServersFullCapacity(lo, hi int, feasible func(servers int) bool) int {
@@ -89,7 +74,7 @@ func Fig1cPathLengthCDF(opt Options) *Table {
 		diam int
 	}
 	perTrial := parallel.MapSeeded(opt.workers(), src, "jf", trials, func(i int, tsrc *rng.Source) trialStats {
-		jf := spread(switches, k, servers, tsrc)
+		jf := topology.JellyfishSpread(switches, k, servers, tsrc)
 		stats := jf.SwitchPathStats()
 		return trialStats{cdf: stats.CDF(), diam: stats.Diameter}
 	})
@@ -237,7 +222,7 @@ func Fig2cServersAtFullThroughput(opt Options) *Table {
 		jfServers, _ := capsearch.MaxServers(context.Background(), capsearch.Config{
 			Lo:      ftServers,
 			Hi:      switches * (k - 1),
-			Family:  capsearch.NewFamily(spread(switches, k, ftServers, ksrc.SplitN("topo", ftServers)), ksrc.Split("grow")),
+			Family:  capsearch.NewFamily(topology.JellyfishSpread(switches, k, ftServers, ksrc.SplitN("topo", ftServers)), ksrc.Split("grow")),
 			Traffic: ksrc.Split("traffic"),
 			Trials:  trials,
 			Slack:   fullThroughputSlack,

@@ -6,6 +6,7 @@ import (
 
 	"jellyfish/internal/flowsim"
 	"jellyfish/internal/rng"
+	"jellyfish/internal/topology"
 )
 
 // renderWith runs the experiment with the given worker count and returns
@@ -56,7 +57,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 // scheme and protocol, including after the kit has served other work.
 func TestTransportKitMatchesOneShot(t *testing.T) {
 	src := rng.New(77).Split("kit-test")
-	top := spread(40, 10, 90, src.Split("topo"))
+	top := topology.JellyfishSpread(40, 10, 90, src.Split("topo"))
 	kit := newTransportKit(top, 2)
 	for round := 0; round < 2; round++ {
 		for _, scheme := range []string{"ecmp8", "ecmp64", "ksp8"} {

@@ -162,7 +162,7 @@ func Fig8Failures(opt Options) *Table {
 		f := fracs[fi]
 		perTrial := parallel.Map(w, trials, func(trial int) [2]float64 {
 			tsrc := src.SplitN(fmt.Sprintf("f%.2f", f), trial)
-			jf := spread(switches, k, jfServers, tsrc.Split("jf"))
+			jf := topology.JellyfishSpread(switches, k, jfServers, tsrc.Split("jf"))
 			topology.RemoveRandomLinks(jf, f, tsrc.Split("jf-fail"))
 			jfTrial := simMean(jf, "ksp8", flowsim.MPTCP8, tsrc.Split("jf-traffic"), 1) / float64(trials)
 

@@ -71,7 +71,7 @@ func Fig9ECMPPathCounts(opt Options) *Table {
 	k, jfServers := table1Sizes(opt)
 	switches := 5 * k * k / 4
 	src := rng.New(opt.Seed).Split("fig9")
-	jf := spread(switches, k, jfServers, src.Split("topo"))
+	jf := topology.JellyfishSpread(switches, k, jfServers, src.Split("topo"))
 	pat := traffic.RandomPermutation(jf.ServerSwitches(), src.Split("traffic"))
 
 	schemes := []string{"ecmp8", "ecmp64", "ksp8"}
@@ -121,7 +121,7 @@ func Table1RoutingCongestion(opt Options) *Table {
 	src := rng.New(opt.Seed).Split("table1")
 	trials := opt.trials(5)
 	ft := topology.FatTree(k)
-	jf := spread(ft.NumSwitches(), k, jfServers, src.Split("jf"))
+	jf := topology.JellyfishSpread(ft.NumSwitches(), k, jfServers, src.Split("jf"))
 
 	t := &Table{
 		ID:      "table1",
@@ -166,7 +166,7 @@ func Table1RoutingCongestion(opt Options) *Table {
 // Fig. 10: 12-port switches, 4 servers each (r=8).
 func fig10Config(servers int, src *rng.Source) *topology.Topology {
 	switches := (servers + 3) / 4
-	return spread(switches, 12, servers, src)
+	return topology.JellyfishSpread(switches, 12, servers, src)
 }
 
 // Fig10SimVsOptimal reproduces Fig. 10: flow-level (packet-substitute)
@@ -238,7 +238,7 @@ func packetLevelMaxServers(k int, trials int, src *rng.Source, workers int) (ftS
 	// where jellyfish cannot quite match the fat-tree (small k, weak
 	// network degree) still report their true maximum.
 	lo, hi := ftServers/2, switches*(k-1)
-	fam := capsearch.NewFamily(spread(switches, k, lo, src.SplitN("topo", lo)), src.Split("grow"))
+	fam := capsearch.NewFamily(topology.JellyfishSpread(switches, k, lo, src.SplitN("topo", lo)), src.Split("grow"))
 	trafficSrc := src.Split("cycle")
 	sims := make([]*flowsim.Sim, parallel.Workers(workers))
 	for i := range sims {
@@ -335,7 +335,7 @@ func Fig12Stability(opt Options) *Table {
 		perTrial := parallel.MapWorker(w, trials, func(worker, i int) [2]float64 {
 			tsrc := ksrc.SplitN("trial", i)
 			ftTp := ftKit.simMean(worker, "ecmp8", flowsim.MPTCP8, tsrc.Split("ft"))
-			jf := spread(ft.NumSwitches(), k, jfServers, tsrc.Split("jf-topo"))
+			jf := topology.JellyfishSpread(ft.NumSwitches(), k, jfServers, tsrc.Split("jf-topo"))
 			return [2]float64{ftTp, simMean(jf, "ksp8", flowsim.MPTCP8, tsrc.Split("jf"), 1)}
 		})
 		s := kSeries{ftServers: ft.NumServers(), jfServers: jfServers}
@@ -361,7 +361,7 @@ func Fig13Fairness(opt Options) *Table {
 	k, jfServers := table1Sizes(opt)
 	src := rng.New(opt.Seed).Split("fig13")
 	ft := topology.FatTree(k)
-	jf := spread(ft.NumSwitches(), k, jfServers, src.Split("jf"))
+	jf := topology.JellyfishSpread(ft.NumSwitches(), k, jfServers, src.Split("jf"))
 
 	w := opt.workers()
 	run := func(top *topology.Topology, scheme string, s *rng.Source) []float64 {

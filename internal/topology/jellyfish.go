@@ -64,6 +64,24 @@ func JellyfishHeterogeneous(ports, servers []int, src *rng.Source) *Topology {
 	return t
 }
 
+// JellyfishSpread builds a Jellyfish of `switches` identical k-port
+// switches carrying exactly `servers` servers spread evenly: the first
+// servers%switches switches take one extra. The construction behind the
+// capacity searches and most experiments.
+func JellyfishSpread(switches, ports, servers int, src *rng.Source) *Topology {
+	portsPer := make([]int, switches)
+	serversPer := make([]int, switches)
+	base, extra := servers/switches, servers%switches
+	for i := range portsPer {
+		portsPer[i] = ports
+		serversPer[i] = base
+		if i < extra {
+			serversPer[i]++
+		}
+	}
+	return JellyfishHeterogeneous(portsPer, serversPer, src)
+}
+
 // wireRandom implements the paper's random wiring over switches whose
 // remaining network-port budget is netDegree[i] - currentDegree(i).
 func wireRandom(t *Topology, netDegree []int, src *rng.Source) {

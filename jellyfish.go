@@ -458,18 +458,7 @@ func SpreadServers(switches, ports, servers int, seed uint64) *Topology {
 		panic(fmt.Sprintf("jellyfish: %d servers exceed capacity of %d %d-port switches",
 			servers, switches, ports))
 	}
-	portsPer := make([]int, switches)
-	serversPer := make([]int, switches)
-	base := servers / switches
-	extra := servers % switches
-	for i := range portsPer {
-		portsPer[i] = ports
-		serversPer[i] = base
-		if i < extra {
-			serversPer[i]++
-		}
-	}
-	return topology.JellyfishHeterogeneous(portsPer, serversPer, rng.New(seed))
+	return topology.JellyfishSpread(switches, ports, servers, rng.New(seed))
 }
 
 // MeanPathLength returns the mean inter-switch shortest path length over
