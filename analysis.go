@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"jellyfish/internal/bisection"
+	"jellyfish/internal/estimate"
 	"jellyfish/internal/flowsim"
 	"jellyfish/internal/metrics"
 	"jellyfish/internal/rng"
@@ -108,21 +108,21 @@ func LinkPathCounts(t *Topology, scheme RoutingScheme, seed uint64, workers ...i
 // normalized bisection bandwidth of RRG(switches, ports, networkDegree):
 // crossing capacity divided by the NIC bandwidth of half the servers.
 func NormalizedBisectionBound(switches, ports, networkDegree int) float64 {
-	return bisection.RRGNormalizedBisection(switches, ports, networkDegree)
+	return estimate.RRGNormalizedBisection(switches, ports, networkDegree)
 }
 
 // ServersAtFullBisection returns the largest server count `switches`
 // k-port switches support at normalized bisection ≥ 1 under the Bollobás
 // bound, with the chosen network degree.
 func ServersAtFullBisection(switches, ports int) (servers, networkDegree int) {
-	return bisection.MaxServersAtFullBisection(switches, ports)
+	return estimate.MaxServersAtFullBisection(switches, ports)
 }
 
 // EquipmentForServers returns the minimum total port count of a Jellyfish
 // of k-port switches carrying `servers` servers at full bisection
 // bandwidth (0 if infeasible) — the Fig. 2(b) cost curve.
 func EquipmentForServers(servers, ports int) int {
-	cost, _, _ := bisection.MinPortsForServers(servers, ports)
+	cost, _, _ := estimate.MinPortsForServers(servers, ports)
 	return cost
 }
 
@@ -130,7 +130,7 @@ func EquipmentForServers(servers, ports int) int {
 // minimum bisection of an explicit topology, normalized by half the
 // servers' NIC bandwidth and capped at 1.
 func MeasuredBisection(t *Topology, seed uint64) float64 {
-	cut, _ := bisection.KLBisection(t.Graph, t.Servers, 4, rng.New(seed))
+	cut, _ := estimate.KLBisection(t.Graph, t.Servers, 4, rng.New(seed))
 	servers := t.NumServers()
 	if servers == 0 {
 		return 0

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"jellyfish/internal/bisection"
 	"jellyfish/internal/mcf"
 	"jellyfish/internal/rng"
 	"jellyfish/internal/topology"
@@ -43,7 +42,7 @@ func (e *bisectionEstimator) Estimate(_ context.Context, t *topology.Compact, co
 	weights := e.serverWeights(t)
 	src := rng.New(e.seed).Split("estimate-bisection")
 	for rs := 0; rs < bisectionRestarts; rs++ {
-		side := bisection.RandomBalancedSide(csr.N(), weights, src.SplitN("restart", rs))
+		side := randomBalancedSide(csr.N(), weights, src.SplitN("restart", rs))
 		if b := e.cutBound(csr, side); b < upper {
 			upper = b
 			upperCert = fmt.Sprintf("server-balanced bisection cut (restart %d of %d, seed %d)",

@@ -1,9 +1,4 @@
-// Package bisection computes the bisection-bandwidth quantities used by the
-// paper's capacity analysis (§4.1, Figs. 2a/2b, and the LEGUP comparison of
-// Fig. 7): the Bollobás lower bound on the bisection of random regular
-// graphs, the fat-tree's closed form, and a Kernighan–Lin heuristic
-// minimum bisection for explicit graphs.
-package bisection
+package estimate
 
 import (
 	"math"
@@ -13,11 +8,17 @@ import (
 	"jellyfish/internal/rng"
 )
 
-// RRGCrossingLowerBound returns the Bollobás [8] lower bound on the number
+// The bisection-bandwidth quantities of the paper's capacity analysis
+// (§4.1, Figs. 2a/2b, and the LEGUP comparison of Fig. 7): the Bollobás
+// lower bound on the bisection of random regular graphs, and a
+// Kernighan–Lin heuristic minimum bisection for explicit graphs. The
+// bisection estimator's random balanced sides come from here too.
+
+// rrgCrossingLowerBound returns the Bollobás [8] lower bound on the number
 // of edges crossing any equal split of an r-regular random graph on n
 // vertices: n·(r/4 − √(r·ln2)/2). The bound holds for almost every
 // r-regular graph. Negative values are clamped to zero (small r).
-func RRGCrossingLowerBound(n, r int) float64 {
+func rrgCrossingLowerBound(n, r int) float64 {
 	b := float64(n) * (float64(r)/4 - math.Sqrt(float64(r)*math.Ln2)/2)
 	if b < 0 {
 		return 0
@@ -34,7 +35,7 @@ func RRGNormalizedBisection(n, k, r int) float64 {
 	if servers <= 0 {
 		return math.Inf(1)
 	}
-	return RRGCrossingLowerBound(n, r) / servers
+	return rrgCrossingLowerBound(n, r) / servers
 }
 
 // MaxServersAtFullBisection returns the largest number of servers a
@@ -107,7 +108,7 @@ func KLBisection(g *graph.Graph, weights []int, restarts int, src *rng.Source) (
 	bestCut := math.MaxInt
 	var bestSide []bool
 	for rs := 0; rs < restarts; rs++ {
-		s := RandomBalancedSide(n, weights, src.SplitN("restart", rs))
+		s := randomBalancedSide(n, weights, src.SplitN("restart", rs))
 		c := refine(g, s, weights)
 		if c < bestCut {
 			bestCut = c
@@ -117,10 +118,10 @@ func KLBisection(g *graph.Graph, weights []int, restarts int, src *rng.Source) (
 	return bestCut, bestSide
 }
 
-// RandomBalancedSide assigns vertices to sides by descending weight (random
+// randomBalancedSide assigns vertices to sides by descending weight (random
 // tie order), always placing into the lighter side — the LPT rule, which
 // balances within the largest single weight.
-func RandomBalancedSide(n int, weights []int, src *rng.Source) []bool {
+func randomBalancedSide(n int, weights []int, src *rng.Source) []bool {
 	side := make([]bool, n)
 	order := src.Perm(n)
 	sort.SliceStable(order, func(i, j int) bool {

@@ -1,4 +1,4 @@
-package bisection
+package estimate
 
 import (
 	"math"
@@ -10,19 +10,19 @@ import (
 )
 
 func TestRRGCrossingLowerBoundClamped(t *testing.T) {
-	if b := RRGCrossingLowerBound(100, 1); b != 0 {
+	if b := rrgCrossingLowerBound(100, 1); b != 0 {
 		t.Fatalf("bound = %v for r=1, want 0 (clamped)", b)
 	}
 }
 
 func TestRRGCrossingLowerBoundGrowth(t *testing.T) {
 	// Bound is linear in n and increasing in r (for r past the clamp).
-	b1 := RRGCrossingLowerBound(100, 16)
-	b2 := RRGCrossingLowerBound(200, 16)
+	b1 := rrgCrossingLowerBound(100, 16)
+	b2 := rrgCrossingLowerBound(200, 16)
 	if math.Abs(b2-2*b1) > 1e-9 {
 		t.Fatalf("bound not linear in n: %v vs %v", b1, b2)
 	}
-	if RRGCrossingLowerBound(100, 32) <= b1 {
+	if rrgCrossingLowerBound(100, 32) <= b1 {
 		t.Fatal("bound not increasing in r")
 	}
 }
@@ -32,7 +32,7 @@ func TestRRGNormalizedBisectionApproachesHalfLinks(t *testing.T) {
 	// links (§4.1).
 	n := 1000
 	r := 10000
-	frac := RRGCrossingLowerBound(n, r) / (float64(n*r) / 2)
+	frac := rrgCrossingLowerBound(n, r) / (float64(n*r) / 2)
 	if frac < 0.45 || frac > 0.5 {
 		t.Fatalf("crossing fraction = %v, want → 0.5", frac)
 	}
@@ -153,7 +153,7 @@ func TestKLCutVsBollobasBound(t *testing.T) {
 	n, k, r := 60, 10, 6
 	top := topology.Jellyfish(n, k, r, rng.New(7))
 	cut, _ := KLBisection(top.Graph, nil, 6, rng.New(8))
-	bound := RRGCrossingLowerBound(n, r)
+	bound := rrgCrossingLowerBound(n, r)
 	if float64(cut) < bound {
 		t.Fatalf("KL found cut %d below Bollobás bound %v", cut, bound)
 	}

@@ -12,6 +12,10 @@
 // exact solver. Estimators are deterministic: the same (topology,
 // commodities, kind, sample, seed) produce the same Bounds on every call,
 // worker count, and process.
+//
+// The package also holds the paper's bisection-bandwidth quantities
+// (cuts.go): the Bollobás bound behind Figs. 2a, 2b and 7, and a
+// Kernighan–Lin heuristic bisection of explicit graphs.
 package estimate
 
 import (

@@ -8,7 +8,7 @@ package expansion
 import (
 	"fmt"
 
-	"jellyfish/internal/bisection"
+	"jellyfish/internal/estimate"
 	"jellyfish/internal/graph"
 	"jellyfish/internal/rng"
 	"jellyfish/internal/topology"
@@ -84,7 +84,7 @@ func (c ArcConfig) withDefaults() ArcConfig {
 // measuredBisection computes the server-normalized bisection of an explicit
 // topology with a KL heuristic cut balanced by attached servers.
 func measuredBisection(t *topology.Topology, src *rng.Source) float64 {
-	cut, _ := bisection.KLBisection(t.Graph, t.Servers, 4, src)
+	cut, _ := estimate.KLBisection(t.Graph, t.Servers, 4, src)
 	servers := t.NumServers()
 	if servers == 0 {
 		return 0

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"jellyfish/internal/bisection"
 	"jellyfish/internal/capsearch"
+	"jellyfish/internal/estimate"
 	"jellyfish/internal/mcf"
 	"jellyfish/internal/metrics"
 	"jellyfish/internal/parallel"
@@ -137,7 +137,7 @@ func Fig2aBisectionVsServers(opt Options) *Table {
 		ftServers = c.k * c.k * c.k / 4
 		for r := c.k - 2; r >= c.k/2; r -= 2 {
 			servers := c.n * (c.k - r)
-			t.AddRow(c.n, c.k, r, servers, bisection.RRGNormalizedBisection(c.n, c.k, r), ftServers)
+			t.AddRow(c.n, c.k, r, servers, estimate.RRGNormalizedBisection(c.n, c.k, r), ftServers)
 		}
 	}
 	t.Notes = append(t.Notes, "paper: at the cost of a 16,000-server fat-tree (k=40), jellyfish supports >20,000 at full bisection")
@@ -160,7 +160,7 @@ func Fig2bEquipmentCost(opt Options) *Table {
 	}
 	for _, s := range serverCounts {
 		for _, k := range ports {
-			jfPorts, _, _ := bisection.MinPortsForServers(s, k)
+			jfPorts, _, _ := estimate.MinPortsForServers(s, k)
 			// Fat-tree: smallest k'≥k design covering s servers uses
 			// 5k'²/4 switches; cost 5k'³/4 ports — but fat-trees exist only
 			// at discrete sizes; charge the k³/4-server design scaled up.

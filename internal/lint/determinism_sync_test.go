@@ -24,9 +24,8 @@ var undeclaredDeterminismDeps = map[string]string{
 	"jellyfish/internal/topology":    "construction-time only; determinism is pinned end to end through capsearch and experiments",
 	"jellyfish/internal/placement":   "construction-time only; candidate for declaration once its miswiring paths grow",
 	"jellyfish/internal/expansion":   "construction-time only; candidate for declaration once rewiring runs on response paths",
-	"jellyfish/internal/bisection":   "exact solver on tiny graphs; output is a single scalar bound",
 	"jellyfish/internal/persist":     "storage I/O, not computation: journal/blob round-tripping is byte-exact by its own tests, and nothing it stores enters a response digest uncomputed",
-	"jellyfish/internal/maxflow":     "exact solver backing bisection; same scalar-output argument",
+	"jellyfish/internal/maxflow":     "exact max-flow solver behind edge connectivity; output is a single scalar",
 	"jellyfish/internal/metrics":     "pure aggregation over already-deterministic inputs",
 	"jellyfish/internal/telemetry":   "the observability core: it owns every clock read by design so kernels never touch time, and jellyvet's obsconfine analyzer keeps its data flow one-way",
 	"jellyfish/internal/faultinject": "the chaos switchboard: disabled is the default and costs one atomic load; the faultconfine analyzer plus the faults-off byte-identity suite pin that an inactive schedule changes nothing",
