@@ -143,8 +143,11 @@ type Sim struct {
 	// Per-resource kernel state, indexed by dense id in [0, nres).
 	used   []float64
 	count  []int32   // uncoupled filling: unfrozen subflows on resource
-	fcount []float64 // coupled filling: active flows on resource
-	act    []int32   // uncoupled: dense ids with count > 0, compacted
+	fcount []float64 // coupled filling: live flows whose active route crosses it
+	act    []int32   // dense ids with count > 0 (uncoupled) or listed (coupled), compacted
+	listed []bool    // coupled: resource is in act[:nact]
+	nact   int       // coupled: length of the listed prefix of act
+	sat    []int32   // coupled: resources the last fill saturated
 
 	// Uncoupled (TCP1/TCP8) compile output: subflow → resource CSR.
 	subFlow     []int32
@@ -153,15 +156,18 @@ type Sim struct {
 	frozen      []bool
 	subLevel    []float64 // fill level at which the subflow froze
 
-	// Resource → subflow CSR, indexed by dense id.
+	// Resource → subflow (uncoupled) or → path (coupled) CSR, indexed by
+	// dense id; built by indexResources.
 	resSubStart []int32
 	resSubFill  []int32
 	resSubIDs   []int32
 
-	// Coupled (MPTCP8) compile output: flow → paths → resources CSR.
+	// Coupled (MPTCP8) compile output: flow → paths → resources CSR, and
+	// the path → flow index.
 	flowPathStart []int32
 	pathResStart  []int32
 	pathResIDs    []int32
+	pathFlow      []int32
 	active        []int32
 	flowLevel     []float64
 
@@ -296,6 +302,32 @@ func (s *Sim) appendPathResources(dst []int32, f *traffic.Flow, p []int) []int32
 	return dst
 }
 
+// indexResources builds the resource→item CSR (resSubStart, resSubIDs;
+// each list in item order) from an item→resource CSR over the call's
+// dense resources, leaving each resource's incidence count in count.
+// Items are subflows (uncoupled) or paths (coupled).
+//
+//jellyvet:hotpath
+func (s *Sim) indexResources(itemStart, itemRes []int32) {
+	for _, r := range itemRes {
+		s.count[r]++
+	}
+	s.resSubStart = resarena.Grow(s.resSubStart, s.nres+1)
+	s.resSubFill = resarena.Grow(s.resSubFill, s.nres)
+	s.resSubStart[0] = 0
+	for r := 0; r < s.nres; r++ {
+		s.resSubStart[r+1] = s.resSubStart[r] + s.count[r]
+		s.resSubFill[r] = 0
+	}
+	s.resSubIDs = resarena.Grow(s.resSubIDs, len(itemRes))
+	for it := 0; it+1 < len(itemStart); it++ {
+		for _, r := range itemRes[itemStart[it]:itemStart[it+1]] {
+			s.resSubIDs[s.resSubStart[r]+s.resSubFill[r]] = int32(it)
+			s.resSubFill[r]++
+		}
+	}
+}
+
 // simulateSubflows models uncoupled TCP: each connection is pinned to one
 // hashed route and max-min filling runs at connection granularity. The
 // filling is saturation-driven: each round advances every live connection
@@ -339,29 +371,17 @@ func (s *Sim) simulateSubflows(ctx context.Context, flows []traffic.Flow, table 
 	for si := range s.subLevel {
 		s.subLevel[si] = 0
 	}
-	// Incidence counts, then the resource→subflow CSR (lists in subflow
-	// order) and the initial active-resource set.
-	for _, r := range s.subResIDs {
-		s.count[r]++
-	}
-	s.resSubStart = resarena.Grow(s.resSubStart, s.nres+1)
-	s.resSubFill = resarena.Grow(s.resSubFill, s.nres)
-	s.act = s.act[:0]
-	s.resSubStart[0] = 0
+	// The resource→subflow CSR, then the initial active-resource set.
+	s.indexResources(s.subResStart, s.subResIDs)
+	s.act = resarena.Grow(s.act, s.nres)
+	live := 0
 	for r := 0; r < s.nres; r++ {
-		s.resSubStart[r+1] = s.resSubStart[r] + s.count[r]
-		s.resSubFill[r] = 0
 		if s.count[r] > 0 {
-			s.act = append(s.act, int32(r)) //jellyvet:allow hotpath -- grows Sim-owned scratch reused across calls; steady state is zero-alloc (TestTransportZeroAllocs)
+			s.act[live] = int32(r)
+			live++
 		}
 	}
-	s.resSubIDs = resarena.Grow(s.resSubIDs, len(s.subResIDs))
-	for si := 0; si < nsub; si++ {
-		for _, r := range s.subResIDs[s.subResStart[si]:s.subResStart[si+1]] {
-			s.resSubIDs[s.resSubStart[r]+s.resSubFill[r]] = int32(si)
-			s.resSubFill[r]++
-		}
-	}
+	s.act = s.act[:live]
 
 	level := 0.0
 	remaining := nsub
@@ -372,7 +392,7 @@ func (s *Sim) simulateSubflows(ctx context.Context, flows []traffic.Flow, table 
 		// Bottleneck increment over live resources, compacting out the
 		// drained ones (count == 0 ⇔ no unfrozen subflow touches it).
 		minInc := -1.0
-		live := 0
+		live = 0
 		for _, r := range s.act {
 			if s.count[r] == 0 {
 				continue
@@ -462,10 +482,23 @@ func (s *Sim) clampUnfrozenSubflows(level float64, remaining int) {
 // the flow freezes when no route is open. Deliberately consumes no
 // randomness (see the package comment's stream contract).
 //
+// The filling is saturation-driven, like simulateSubflows: fcount holds
+// each resource's live-flow count and is updated only as flows change
+// routes, each round scans and fills only the listed resources (those
+// some active route crosses), and after the fill only the flows whose
+// active route crosses a resource that just saturated are re-routed,
+// found through the resource→path adjacency and the path→flow index.
+// Every float operation is the round-rebuild fill's: fcount holds exact
+// integer counts whatever order they change in, the minimum does not
+// depend on scan order, each fill adds minInc·fcount[r] to used[r], and
+// a flow freezes at the same level in the same round, so rates and ctx
+// polls match it bit for bit (TestCoupledFillMatchesReference).
+//
 //jellyvet:hotpath
 func (s *Sim) simulateCoupled(ctx context.Context, flows []traffic.Flow, table *routing.Table) Result {
 	s.pathResIDs = s.pathResIDs[:0]
 	s.pathResStart = append(s.pathResStart[:0], 0) //jellyvet:allow hotpath -- grows Sim-owned scratch reused across calls; steady state is zero-alloc (TestTransportZeroAllocs)
+	s.pathFlow = s.pathFlow[:0]
 	s.flowPathStart = resarena.Grow(s.flowPathStart, len(flows)+1)
 	s.active = resarena.Grow(s.active, len(flows))
 	s.flowLevel = resarena.Grow(s.flowLevel, len(flows))
@@ -485,6 +518,7 @@ func (s *Sim) simulateCoupled(ctx context.Context, flows []traffic.Flow, table *
 		for _, p := range paths {
 			s.pathResIDs = s.appendPathResources(s.pathResIDs, f, p)
 			s.pathResStart = append(s.pathResStart, int32(len(s.pathResIDs))) //jellyvet:allow hotpath -- grows Sim-owned scratch reused across calls; steady state is zero-alloc (TestTransportZeroAllocs)
+			s.pathFlow = append(s.pathFlow, int32(fi))                        //jellyvet:allow hotpath -- grows Sim-owned scratch reused across calls; steady state is zero-alloc (TestTransportZeroAllocs)
 		}
 		s.flowPathStart[fi+1] = int32(len(s.pathResStart) - 1)
 		if len(paths) > 0 {
@@ -492,76 +526,74 @@ func (s *Sim) simulateCoupled(ctx context.Context, flows []traffic.Flow, table *
 		}
 	}
 	s.resetKernel()
+	s.indexResources(s.pathResStart, s.pathResIDs)
 
-	open := func(pi int32) bool { //jellyvet:allow hotpath -- non-escaping local closure; called only below, so it stays on the stack
-		for _, r := range s.pathResIDs[s.pathResStart[pi]:s.pathResStart[pi+1]] {
-			if 1-s.used[r] <= satEps {
-				return false
-			}
+	// Every routed flow starts on its first route.
+	s.listed = resarena.Grow(s.listed, s.nres)
+	for r := range s.listed {
+		s.listed[r] = false
+	}
+	s.act = resarena.Grow(s.act, s.nres)
+	s.sat = resarena.Grow(s.sat, s.nres)
+	s.nact = 0
+	live := 0
+	for fi := range flows {
+		if s.active[fi] >= 0 {
+			live++
+			s.shift(s.flowPathStart[fi], 1)
 		}
-		return true
 	}
 
 	level := 0.0
 	roundCap := 4*s.nres + len(flows) + 16
-	for rounds := 0; ; rounds++ {
-		if rounds > roundCap {
-			break // numerical safety net; never reached in practice
-		}
+	for rounds := 0; rounds <= roundCap; rounds++ { // the cap is a numerical safety net, never reached in practice
 		if ctx.Err() != nil {
 			break // cancelled: partial rates, discarded by the caller
 		}
-		// Recompute active routes and per-resource counts.
-		for i := range s.fcount {
-			s.fcount[i] = 0
-		}
-		liveFlows := 0
-		for fi := range flows {
-			if s.active[fi] < 0 || s.local[fi] {
-				continue
-			}
-			first := s.flowPathStart[fi]
-			if !open(first + s.active[fi]) {
-				// Advance to the first open route, or freeze at the
-				// current level.
-				s.active[fi] = -1
-				for pi := first; pi < s.flowPathStart[fi+1]; pi++ {
-					if open(pi) {
-						s.active[fi] = pi - first
-						break
-					}
-				}
-				if s.active[fi] < 0 {
-					s.flowLevel[fi] = level
-					continue
-				}
-			}
-			liveFlows++
-			pi := first + s.active[fi]
-			for _, r := range s.pathResIDs[s.pathResStart[pi]:s.pathResStart[pi+1]] {
-				s.fcount[r]++
-			}
-		}
-		if liveFlows == 0 {
+		if live == 0 {
 			break
 		}
+		// Bottleneck increment over the listed resources, compacting out
+		// the ones no active route crosses any more.
 		minInc := -1.0
-		for r := 0; r < s.nres; r++ {
+		n := 0
+		for _, r := range s.act[:s.nact] {
 			if s.fcount[r] == 0 {
+				s.listed[r] = false
 				continue
 			}
+			s.act[n] = r
+			n++
 			inc := (1 - s.used[r]) / s.fcount[r]
 			if minInc < 0 || inc < minInc {
 				minInc = inc
 			}
 		}
+		s.nact = n
 		if minInc <= 0 {
 			break
 		}
 		level += minInc
-		for r := 0; r < s.nres; r++ {
-			if s.fcount[r] > 0 {
-				s.used[r] += minInc * s.fcount[r]
+		nsat := 0
+		for _, r := range s.act[:n] {
+			s.used[r] += minInc * s.fcount[r]
+			if 1-s.used[r] <= satEps {
+				s.sat[nsat] = r
+				nsat++
+			}
+		}
+		// Move every flow whose active route crosses a resource that just
+		// saturated; a resource whose count has dropped to zero has no
+		// such flow left.
+		for _, r := range s.sat[:nsat] {
+			if s.fcount[r] == 0 {
+				continue
+			}
+			for _, pi := range s.resSubIDs[s.resSubStart[r]:s.resSubStart[r+1]] {
+				fi := s.pathFlow[pi]
+				if s.active[fi] >= 0 && s.flowPathStart[fi]+s.active[fi] == pi && !s.advance(fi, level) {
+					live--
+				}
 			}
 		}
 	}
@@ -578,6 +610,58 @@ func (s *Sim) simulateCoupled(ctx context.Context, flows []traffic.Flow, table *
 	}
 	clampRates(s.rates, s.local)
 	return Result{FlowRate: s.rates}
+}
+
+// advance moves flow fi off its closed active route onto the next open
+// one and reports true, or freezes the flow at level and reports false
+// when none is left. The search starts past the active route: the routes
+// before it had closed when it was chosen, and used never decreases, so
+// a route that has closed stays closed.
+//
+//jellyvet:hotpath
+func (s *Sim) advance(fi int32, level float64) bool {
+	first := s.flowPathStart[fi]
+	pi := first + s.active[fi]
+	s.shift(pi, -1)
+	for pi++; pi < s.flowPathStart[fi+1]; pi++ {
+		if s.open(pi) {
+			s.active[fi] = pi - first
+			s.shift(pi, 1)
+			return true
+		}
+	}
+	s.active[fi] = -1
+	s.flowLevel[fi] = level
+	return false
+}
+
+// open reports whether every resource on path pi has residual capacity.
+//
+//jellyvet:hotpath
+func (s *Sim) open(pi int32) bool {
+	for _, r := range s.pathResIDs[s.pathResStart[pi]:s.pathResStart[pi+1]] {
+		if 1-s.used[r] <= satEps {
+			return false
+		}
+	}
+	return true
+}
+
+// shift adds d (+1 or -1) to fcount along path pi, listing each resource
+// not yet in act. A resource with a positive count is always listed, so
+// only an increment can list one; act never holds a resource twice, and
+// nres slots suffice.
+//
+//jellyvet:hotpath
+func (s *Sim) shift(pi int32, d float64) {
+	for _, r := range s.pathResIDs[s.pathResStart[pi]:s.pathResStart[pi+1]] {
+		s.fcount[r] += d
+		if !s.listed[r] {
+			s.listed[r] = true
+			s.act[s.nact] = r
+			s.nact++
+		}
+	}
 }
 
 //jellyvet:hotpath
