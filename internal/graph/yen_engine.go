@@ -7,7 +7,10 @@ import "slices"
 // queues, and a compact masked-edge list replace the per-call maps and
 // slices of the textbook algorithm. Results are bit-identical to the
 // reference Yen that TestKSPEngineMatchesReference keeps; only the
-// wall-clock and allocation profile differ. The returned paths are
+// wall-clock and allocation profile differ. Paths follows Lawler's
+// deviation-index rule: a ranked path spurs only from the index at which
+// it was generated onward, since every root before that is also its
+// parent's root, already spurred when the parent was ranked. The returned paths are
 // freshly allocated and owned by the caller; everything else is engine
 // scratch.
 //
@@ -38,6 +41,11 @@ type KSPEngine struct {
 	// the spur node — so the mask is a handful of neighbor ids.
 	maskedNbrs []int32
 	candidates []Path
+	// Deviation indices: the spur index at which each ranked path
+	// (pathDev) and each candidate (candDev, swap-removed alongside
+	// candidates) was generated.
+	pathDev []int
+	candDev []int
 }
 
 // The two sides of the bidirectional BFS.
@@ -104,10 +112,12 @@ func (e *KSPEngine) Paths(src, dst, k int) []Path {
 	}
 	paths := []Path{slices.Clone(first)}
 	candidates := e.candidates[:0]
+	e.pathDev = append(e.pathDev[:0], 0)
+	e.candDev = e.candDev[:0]
 
 	for len(paths) < k {
 		prev := paths[len(paths)-1]
-		for i := 0; i < len(prev)-1; i++ {
+		for i := e.pathDev[len(paths)-1]; i < len(prev)-1; i++ {
 			spurNode := prev[i]
 			rootPath := prev[:i+1]
 
@@ -139,6 +149,7 @@ func (e *KSPEngine) Paths(src, dst, k int) []Path {
 			total = append(total, spurPath[1:]...)
 			if !containsPath(paths, total) && !containsPath(candidates, total) {
 				candidates = append(candidates, total)
+				e.candDev = append(e.candDev, i)
 			}
 		}
 		if len(candidates) == 0 {
@@ -155,9 +166,12 @@ func (e *KSPEngine) Paths(src, dst, k int) []Path {
 			}
 		}
 		paths = append(paths, candidates[best])
+		e.pathDev = append(e.pathDev, e.candDev[best])
 		last := len(candidates) - 1
 		candidates[best] = candidates[last]
 		candidates = candidates[:last]
+		e.candDev[best] = e.candDev[last]
+		e.candDev = e.candDev[:last]
 	}
 	// Keep the slice's capacity but actually drop the Path references it
 	// accumulated (including slots past len left by the swap-removes),
