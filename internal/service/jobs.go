@@ -160,18 +160,21 @@ func newJobStore() *jobStore {
 
 // submit validates the spec, plans it, journals it, and starts it
 // asynchronously on the scheduler. Validation and journaling errors
-// surface now (HTTP 400/500); execution errors surface on the job.
-func (js *jobStore) submit(sched *scheduler, spec *JobSpec) (*job, *apiError) {
+// surface now (HTTP 400/500); execution errors surface on the job. The
+// returned view is taken before the job starts, so it always shows the
+// queued job the submission created: a fast run (a response-cache hit)
+// cannot race ahead of the acknowledgement.
+func (js *jobStore) submit(sched *scheduler, spec *JobSpec) (JobView, *apiError) {
 	p, aerr := planJob(spec)
 	if aerr != nil {
-		return nil, aerr
+		return JobView{}, aerr
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	js.mu.Lock()
 	if js.draining {
 		js.mu.Unlock()
 		cancel()
-		return nil, &apiError{Status: http.StatusServiceUnavailable, Code: "shutting_down",
+		return JobView{}, &apiError{Status: http.StatusServiceUnavailable, Code: "shutting_down",
 			Message: "server is draining; no new jobs admitted"}
 	}
 	evictedID := ""
@@ -180,7 +183,7 @@ func (js *jobStore) submit(sched *scheduler, spec *JobSpec) (*job, *apiError) {
 			n := len(js.jobs)
 			js.mu.Unlock()
 			cancel()
-			return nil, &apiError{Status: http.StatusTooManyRequests, Code: "job_store_full",
+			return JobView{}, &apiError{Status: http.StatusTooManyRequests, Code: "job_store_full",
 				Message: fmt.Sprintf("all %d retained jobs are still queued or running; retry after some finish or cancel", n)}
 		}
 	}
@@ -203,10 +206,11 @@ func (js *jobStore) submit(sched *scheduler, spec *JobSpec) (*job, *apiError) {
 		delete(js.jobs, j.id)
 		js.mu.Unlock()
 		cancel()
-		return nil, aerr
+		return JobView{}, aerr
 	}
+	v := j.view(false)
 	js.start(sched, j, p, ctx)
-	return j, nil
+	return v, nil
 }
 
 // start launches a job's executor goroutine — shared by submit and

@@ -394,12 +394,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, qerr)
 		return
 	}
-	j, aerr := s.jobs.submit(s.sched, &spec)
+	v, aerr := s.jobs.submit(s.sched, &spec)
 	if aerr != nil {
 		writeErr(w, aerr)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.view(false))
+	writeJSON(w, http.StatusAccepted, v)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
