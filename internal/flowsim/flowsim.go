@@ -374,14 +374,14 @@ func (s *Sim) simulateSubflows(ctx context.Context, flows []traffic.Flow, table 
 	// The resource→subflow CSR, then the initial active-resource set.
 	s.indexResources(s.subResStart, s.subResIDs)
 	s.act = resarena.Grow(s.act, s.nres)
-	live := 0
+	n := 0
 	for r := 0; r < s.nres; r++ {
 		if s.count[r] > 0 {
-			s.act[live] = int32(r)
-			live++
+			s.act[n] = int32(r)
+			n++
 		}
 	}
-	s.act = s.act[:live]
+	s.act = s.act[:n]
 
 	level := 0.0
 	remaining := nsub
@@ -392,7 +392,7 @@ func (s *Sim) simulateSubflows(ctx context.Context, flows []traffic.Flow, table 
 		// Bottleneck increment over live resources, compacting out the
 		// drained ones (count == 0 ⇔ no unfrozen subflow touches it).
 		minInc := -1.0
-		live = 0
+		live := 0
 		for _, r := range s.act {
 			if s.count[r] == 0 {
 				continue
@@ -498,7 +498,6 @@ func (s *Sim) clampUnfrozenSubflows(level float64, remaining int) {
 func (s *Sim) simulateCoupled(ctx context.Context, flows []traffic.Flow, table *routing.Table) Result {
 	s.pathResIDs = s.pathResIDs[:0]
 	s.pathResStart = append(s.pathResStart[:0], 0) //jellyvet:allow hotpath -- grows Sim-owned scratch reused across calls; steady state is zero-alloc (TestTransportZeroAllocs)
-	s.pathFlow = s.pathFlow[:0]
 	s.flowPathStart = resarena.Grow(s.flowPathStart, len(flows)+1)
 	s.active = resarena.Grow(s.active, len(flows))
 	s.flowLevel = resarena.Grow(s.flowLevel, len(flows))
@@ -518,7 +517,6 @@ func (s *Sim) simulateCoupled(ctx context.Context, flows []traffic.Flow, table *
 		for _, p := range paths {
 			s.pathResIDs = s.appendPathResources(s.pathResIDs, f, p)
 			s.pathResStart = append(s.pathResStart, int32(len(s.pathResIDs))) //jellyvet:allow hotpath -- grows Sim-owned scratch reused across calls; steady state is zero-alloc (TestTransportZeroAllocs)
-			s.pathFlow = append(s.pathFlow, int32(fi))                        //jellyvet:allow hotpath -- grows Sim-owned scratch reused across calls; steady state is zero-alloc (TestTransportZeroAllocs)
 		}
 		s.flowPathStart[fi+1] = int32(len(s.pathResStart) - 1)
 		if len(paths) > 0 {
@@ -527,6 +525,12 @@ func (s *Sim) simulateCoupled(ctx context.Context, flows []traffic.Flow, table *
 	}
 	s.resetKernel()
 	s.indexResources(s.pathResStart, s.pathResIDs)
+	s.pathFlow = resarena.Grow(s.pathFlow, len(s.pathResStart)-1)
+	for fi := range flows {
+		for pi := s.flowPathStart[fi]; pi < s.flowPathStart[fi+1]; pi++ {
+			s.pathFlow[pi] = int32(fi)
+		}
+	}
 
 	// Every routed flow starts on its first route.
 	s.listed = resarena.Grow(s.listed, s.nres)

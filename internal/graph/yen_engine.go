@@ -7,12 +7,15 @@ import "slices"
 // queues, and a compact masked-edge list replace the per-call maps and
 // slices of the textbook algorithm. Results are bit-identical to the
 // reference Yen that TestKSPEngineMatchesReference keeps; only the
-// wall-clock and allocation profile differ. Paths follows Lawler's
-// deviation-index rule: a ranked path spurs only from the index at which
-// it was generated onward, since every root before that is also its
-// parent's root, already spurred when the parent was ranked. The returned paths are
+// wall-clock and allocation profile differ. The returned paths are
 // freshly allocated and owned by the caller; everything else is engine
 // scratch.
+//
+// Paths follows Lawler's deviation-index rule: a ranked path spurs only
+// from the index at which it was generated onward. Every root before
+// that index is also its parent's root, spurred when the parent was
+// ranked, and the ranked paths are those of textbook Yen, which spurs
+// at every index (TestKSPEngineMatchesReference).
 //
 // An engine is bound to one graph and is NOT safe for concurrent use —
 // give each worker goroutine its own (routing.Compiled does exactly

@@ -161,9 +161,7 @@ func newJobStore() *jobStore {
 // submit validates the spec, plans it, journals it, and starts it
 // asynchronously on the scheduler. Validation and journaling errors
 // surface now (HTTP 400/500); execution errors surface on the job. The
-// returned view is taken before the job starts, so it always shows the
-// queued job the submission created: a fast run (a response-cache hit)
-// cannot race ahead of the acknowledgement.
+// view is taken before the job starts, so it always shows it queued.
 func (js *jobStore) submit(sched *scheduler, spec *JobSpec) (JobView, *apiError) {
 	p, aerr := planJob(spec)
 	if aerr != nil {
