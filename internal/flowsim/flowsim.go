@@ -145,8 +145,7 @@ type Sim struct {
 	count  []int32   // uncoupled filling: unfrozen subflows on resource
 	fcount []float64 // coupled filling: live flows whose active route crosses it
 	act    []int32   // dense ids with count > 0 (uncoupled) or listed (coupled), compacted
-	listed []bool    // coupled: resource is in act[:nact]
-	nact   int       // coupled: length of the listed prefix of act
+	listed []bool    // coupled: resource is in act
 	sat    []int32   // coupled: resources the last fill saturated
 
 	// Uncoupled (TCP1/TCP8) compile output: subflow → resource CSR.
@@ -537,9 +536,8 @@ func (s *Sim) simulateCoupled(ctx context.Context, flows []traffic.Flow, table *
 	for r := range s.listed {
 		s.listed[r] = false
 	}
-	s.act = resarena.Grow(s.act, s.nres)
+	s.act = resarena.Grow(s.act, s.nres)[:0]
 	s.sat = resarena.Grow(s.sat, s.nres)
-	s.nact = 0
 	live := 0
 	for fi := range flows {
 		if s.active[fi] >= 0 {
@@ -561,7 +559,7 @@ func (s *Sim) simulateCoupled(ctx context.Context, flows []traffic.Flow, table *
 		// the ones no active route crosses any more.
 		minInc := -1.0
 		n := 0
-		for _, r := range s.act[:s.nact] {
+		for _, r := range s.act {
 			if s.fcount[r] == 0 {
 				s.listed[r] = false
 				continue
@@ -573,13 +571,13 @@ func (s *Sim) simulateCoupled(ctx context.Context, flows []traffic.Flow, table *
 				minInc = inc
 			}
 		}
-		s.nact = n
+		s.act = s.act[:n]
 		if minInc <= 0 {
 			break
 		}
 		level += minInc
 		nsat := 0
-		for _, r := range s.act[:n] {
+		for _, r := range s.act {
 			s.used[r] += minInc * s.fcount[r]
 			if 1-s.used[r] <= satEps {
 				s.sat[nsat] = r
@@ -653,8 +651,8 @@ func (s *Sim) open(pi int32) bool {
 
 // shift adds d (+1 or -1) to fcount along path pi, listing each resource
 // not yet in act. A resource with a positive count is always listed, so
-// only an increment can list one; act never holds a resource twice, and
-// nres slots suffice.
+// only an increment can list one; act never holds a resource twice, so
+// it stays within the nres capacity it was grown to.
 //
 //jellyvet:hotpath
 func (s *Sim) shift(pi int32, d float64) {
@@ -662,8 +660,9 @@ func (s *Sim) shift(pi int32, d float64) {
 		s.fcount[r] += d
 		if !s.listed[r] {
 			s.listed[r] = true
-			s.act[s.nact] = r
-			s.nact++
+			n := len(s.act)
+			s.act = s.act[:n+1]
+			s.act[n] = r
 		}
 	}
 }
