@@ -1,32 +1,69 @@
 package graph
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // A KSPEngine computes loopless k-shortest paths with reusable flat
-// scratch: epoch-stamped visited/mask arrays, preallocated frontier
-// queues, and a compact masked-edge list replace the per-call maps and
-// slices of the textbook algorithm. Results are bit-identical to the
-// reference Yen that TestKSPEngineMatchesReference keeps; only the
-// wall-clock and allocation profile differ. The returned paths are
-// freshly allocated and owned by the caller; everything else is engine
-// scratch.
+// scratch. Paths has two stages. The first reads the paths off BFS
+// distance labels: with dT[v] the hop distance from v to dst, a
+// depth-first search enumerates the simple src→dst paths of exactly L
+// hops for L = dT[src], dT[src]+1, …, visiting neighbors in ascending
+// order and entering v only if v is off the path and dT[v] ≤ the hops
+// left after v. Every pruned node is one no completion can use, so each
+// level yields all its paths in lexicographic order, and the first k
+// paths found are the first k loopless paths in (length, lexicographic)
+// order — which is exactly what Yen's algorithm with lexicographic
+// tie-breaks ranks (TestKShortestMatchesBruteForce). The labels of the
+// last destination are kept, keyed by (dst, CSR snapshot), so pairs
+// that share a destination pay one BFS.
 //
-// Paths follows Lawler's deviation-index rule: a ranked path spurs only
-// from the index at which it was generated onward. Every root before
-// that index is also its parent's root, spurred when the parent was
-// ranked, and the ranked paths are those of textbook Yen, which spurs
-// at every index (TestKSPEngineMatchesReference).
+// Pruning on labels alone is exponential on some graphs (a clique
+// hanging off src, with one simple path out of it). So the first stage
+// counts node expansions against a budget of a few BFS worth; when that
+// runs out, it discards its partial output and Paths runs Yen's ranking
+// algorithm [Yen 1971] instead. Yen's scratch is flat too:
+// epoch-stamped visited/mask arrays, preallocated frontier queues, and
+// a compact masked-edge list replace the per-call maps and slices of the
+// textbook algorithm. Spurs follow Lawler's deviation-index rule: a
+// ranked path spurs only from the index at which it was generated
+// onward. Every root before that index is also its parent's root,
+// spurred when the parent was ranked, and the ranked paths are those of
+// textbook Yen, which spurs at every index.
+//
+// Both stages return exactly the paths of the reference Yen that
+// TestKSPEngineMatchesReference keeps; only the wall-clock and
+// allocation profile differ. The returned paths are owned by the
+// caller; everything else is engine scratch.
 //
 // An engine is bound to one graph and is NOT safe for concurrent use —
 // give each worker goroutine its own (routing.Compiled does exactly
-// that). Mutating the graph between calls is allowed: the scratch carries
-// no cross-call state beyond its epoch counter, so the next call simply
-// observes the new adjacency.
+// that). Mutating the graph between calls is allowed: the next call
+// takes a fresh CSR snapshot, which invalidates the kept labels, and the
+// rest of the scratch carries no cross-call state beyond Yen's epoch
+// counter.
 type KSPEngine struct {
 	g     *Graph
 	csr   *CSR // refreshed at the top of each Paths call
 	epoch uint32
-	// Search scratch for the two sides of the bidirectional BFS (index
+	// label[v] is v's hop distance to labelDst in labelCSR, or
+	// math.MaxInt32 if v cannot reach it.
+	label    []int32
+	labelDst int
+	labelCSR *CSR
+	// The label stage's depth-first search: the path so far, each
+	// depth's next adjacency index, which nodes are on the path, and the
+	// expansions left in the pair's budget.
+	trail  Path
+	cursor []int32
+	onPath []bool
+	budget int
+	// flat holds the paths the label stage has found, back to back;
+	// levelPaths[i] counts those of dT[src]+i hops.
+	flat       []int
+	levelPaths []int
+	// Search scratch for the two sides of Yen's bidirectional BFS (index
 	// fromSrc, fromDst): seen stamps, valid hop distances where
 	// seen == epoch, and each side's level-ordered queue.
 	seen  [2][]uint32
@@ -50,6 +87,11 @@ type KSPEngine struct {
 	pathDev []int
 	candDev []int
 }
+
+// labelBudgetBFS is the label stage's expansion budget per pair, in BFS
+// worth: a pair may enter at most labelBudgetBFS × N nodes before Paths
+// falls back to Yen.
+const labelBudgetBFS = 4
 
 // The two sides of the bidirectional BFS.
 const (
@@ -91,13 +133,18 @@ func (e *KSPEngine) ensure() {
 	e.spur = make(Path, n)
 	e.skipNode = make([]uint32, n)
 	e.epoch = 0
+	e.label = make([]int32, n)
+	e.labelCSR = nil
+	e.trail = make(Path, n)
+	e.cursor = make([]int32, n)
+	e.onPath = make([]bool, n)
 }
 
 // Paths returns up to k loopless shortest src→dst paths in nondecreasing
-// hop-count order, using Yen's ranking algorithm [Yen 1971] with a BFS
-// inner search on the unweighted graph. Ties break by lexicographic
-// vertex order, so results are reproducible. It returns nil if dst is
-// unreachable.
+// hop-count order, ties broken by lexicographic vertex order, so results
+// are reproducible. It returns nil if dst is unreachable. The paths of
+// one call share one backing array, each capped at its own length, so an
+// append to one copies it rather than overwriting the next.
 func (e *KSPEngine) Paths(src, dst, k int) []Path {
 	if k <= 0 {
 		return nil
@@ -107,6 +154,142 @@ func (e *KSPEngine) Paths(src, dst, k int) []Path {
 	// the graph between calls" keeps working.
 	e.csr = e.g.CSR()
 	e.ensure()
+	if paths, ok := e.labelPaths(src, dst, k); ok {
+		return paths
+	}
+	return e.yen(src, dst, k)
+}
+
+// labelPaths is Paths' first stage. It reports false, with no paths,
+// when the pair's expansion budget runs out.
+func (e *KSPEngine) labelPaths(src, dst, k int) ([]Path, bool) {
+	if src == dst {
+		return []Path{{src}}, true
+	}
+	e.labelFrom(dst)
+	d := int(e.label[src])
+	if d == math.MaxInt32 {
+		return nil, true
+	}
+	n := e.csr.N()
+	e.budget = labelBudgetBFS * n
+	e.levelPaths = e.levelPaths[:0]
+	found, used := 0, 0
+	// A simple path has at most n-1 hops.
+	for hops := d; hops < n && found < k; hops++ {
+		// Every path a level emits costs an expansion, so the budget
+		// also bounds the room a level needs.
+		room := min(k-found, e.budget) * (hops + 1)
+		e.flat = slices.Grow(e.flat[:used], room)
+		got, ok := e.enumerate(src, dst, hops, k-found, e.flat[used:used+room])
+		if !ok {
+			return nil, false
+		}
+		e.levelPaths = append(e.levelPaths, got)
+		found += got
+		used += got * (hops + 1)
+	}
+	buf := make([]int, used)
+	copy(buf, e.flat[:used])
+	paths := make([]Path, 0, found)
+	for i, got := range e.levelPaths {
+		size := d + i + 1
+		for ; got > 0; got-- {
+			paths = append(paths, buf[:size:size])
+			buf = buf[size:]
+		}
+	}
+	return paths, true
+}
+
+// labelFrom sets label to the hop distances to dst in the current
+// snapshot, unless it already holds them.
+//
+//jellyvet:hotpath
+func (e *KSPEngine) labelFrom(dst int) {
+	c := e.csr
+	if e.labelCSR == c && e.labelDst == dst {
+		return
+	}
+	label, q := e.label, e.queue[fromDst]
+	for i := range label {
+		label[i] = math.MaxInt32
+	}
+	label[dst] = 0
+	q[0] = int32(dst)
+	for head, tail := 0, 1; head < tail; head++ {
+		u := q[head]
+		du := label[u] + 1
+		for _, v := range c.Nbrs[c.Offsets[u]:c.Offsets[u+1]] {
+			if label[v] == math.MaxInt32 {
+				label[v] = du
+				q[tail] = v
+				tail++
+			}
+		}
+	}
+	e.labelCSR, e.labelDst = c, dst
+}
+
+// enumerate writes the simple src→dst paths of exactly hops hops (at
+// least 1) into out in lexicographic order, back to back, stopping once
+// it has want of them. It returns how many it wrote, and false if the
+// expansion budget ran out first. out must have room for min(want,
+// budget) paths.
+//
+//jellyvet:hotpath
+func (e *KSPEngine) enumerate(src, dst, hops, want int, out []int) (int, bool) {
+	c := e.csr
+	label, trail, cursor, onPath := e.label, e.trail, e.cursor, e.onPath
+	trail[0], cursor[0], onPath[src] = src, c.Offsets[src], true
+	found, pos := 0, 0
+	for depth := 0; depth >= 0; {
+		u := trail[depth]
+		i := cursor[depth]
+		if i == c.Offsets[u+1] {
+			onPath[u] = false
+			depth--
+			continue
+		}
+		cursor[depth] = i + 1
+		v := int(c.Nbrs[i])
+		left := hops - depth - 1 // hops after v
+		if onPath[v] || int(label[v]) > left || (v == dst && left > 0) {
+			continue
+		}
+		e.budget--
+		if e.budget < 0 {
+			for _, w := range trail[:depth+1] {
+				onPath[w] = false
+			}
+			return found, false
+		}
+		if left > 1 {
+			depth++
+			trail[depth], cursor[depth], onPath[v] = v, c.Offsets[v], true
+			continue
+		}
+		// v is dst, or (left == 1) a neighbor of it: a path ends here.
+		pos += copy(out[pos:], trail[:depth+1])
+		if left == 1 {
+			out[pos] = v
+			pos++
+		}
+		out[pos] = dst
+		pos++
+		if found++; found == want {
+			for _, w := range trail[:depth+1] {
+				onPath[w] = false
+			}
+			return found, true
+		}
+	}
+	return found, true
+}
+
+// yen is Paths' fallback: Yen's ranking algorithm with a BFS inner
+// search on the unweighted graph.
+func (e *KSPEngine) yen(src, dst, k int) []Path {
 	e.maskedNbrs = e.maskedNbrs[:0]
 	e.bump()
 	first := e.bfs(src, dst)

@@ -314,3 +314,42 @@ func TestKSPEngineSeesMutations(t *testing.T) {
 		}
 	}
 }
+
+// The label stage's budget is what bounds it: on a clique hanging off
+// the source, where pruning on labels alone explores exponentially many
+// dead ends, the budget runs out and Yen answers (the paths themselves
+// are checked in TestKSPEngineMatchesReferenceGenerated); on random
+// regular graphs of Table 1's size at k = 8 it never does.
+func TestKSPLabelBudget(t *testing.T) {
+	// Vertex 0 joins a 12-clique (1..12) and a 3-hop chain to 15, its one
+	// simple path there.
+	const c = 12
+	const dst = c + 3
+	g := New(dst + 1)
+	for u := 1; u <= c; u++ {
+		g.AddEdge(0, u)
+		for v := u + 1; v <= c; v++ {
+			g.AddEdge(u, v)
+		}
+	}
+	g.AddEdge(0, c+1)
+	g.AddEdge(c+1, c+2)
+	g.AddEdge(c+2, dst)
+	eng := NewKSPEngine(g)
+	if got := eng.Paths(0, dst, 2); len(got) != 1 || eng.budget >= 0 {
+		t.Fatalf("clique: %d paths with %d of the budget left, want 1 path from Yen after the budget ran out", len(got), eng.budget)
+	}
+
+	r := rand.New(rand.NewSource(5))
+	g = randomRegularGraph(245, 11, r)
+	eng = NewKSPEngine(g)
+	for i := 0; i < 200; i++ {
+		src, dst := r.Intn(g.N()), r.Intn(g.N())
+		if src == dst {
+			continue
+		}
+		if eng.Paths(src, dst, 8); eng.budget < 0 {
+			t.Fatalf("rrg245 %d->%d: label stage ran out of budget", src, dst)
+		}
+	}
+}

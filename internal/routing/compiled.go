@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -11,7 +13,7 @@ import (
 )
 
 // A Compiled instance is the reusable routing state of one switch graph:
-// it memoizes the pure, expensive pieces of table construction — Yen
+// it memoizes the pure, expensive pieces of table construction —
 // k-shortest path sets per (src, dst, k) and the per-source BFS
 // distance/path-count state behind ECMP sampling — so repeated table
 // builds over the same topology (Table 1's three protocols × trials, a
@@ -72,11 +74,13 @@ func (c *Compiled) Table(scheme string, pairs []Pair, src *rng.Source, workers i
 	panic(fmt.Sprintf("routing: unknown scheme %q (want ecmp8, ecmp64 or ksp8)", scheme))
 }
 
-// KShortest builds the k-shortest-path table for the given pairs using
-// Yen's algorithm on the switch graph, computing only the pairs this
-// instance has not seen before (fanned out over `workers` goroutines,
-// 0 = all cores, each with its own flat-scratch KSPEngine) and serving
-// the rest from the memo. The table is identical for every worker count.
+// KShortest builds the k-shortest-path table for the given pairs with
+// graph.KSPEngine, computing only the pairs this instance has not seen
+// before and serving the rest from the memo. The missing pairs fan out
+// over `workers` goroutines (0 = all cores), each with its own engine,
+// one destination's pairs at a time, so an engine labels each
+// destination once. No distance labels outlive the call. The table is
+// identical for every worker count and pair order.
 func (c *Compiled) KShortest(pairs []Pair, k, workers int) *Table {
 	t := &Table{Paths: make(map[Pair][]graph.Path, len(pairs)), Kind: kindName("ksp", k)}
 	uniq := dedupPairs(pairs)
@@ -91,12 +95,26 @@ func (c *Compiled) KShortest(pairs []Pair, k, workers int) *Table {
 	c.mu.Unlock()
 
 	if len(missing) > 0 {
+		// Hand out the missing pairs a destination at a time, so that an
+		// engine's kept distance labels serve the whole group. Each result
+		// lands at its pair's index, so the grouping reaches no table.
+		slices.SortFunc(missing, func(a, b Pair) int { return cmp.Or(a.Dst-b.Dst, a.Src-b.Src) })
+		var groups []int // start index of each destination's run
+		for i, p := range missing {
+			if i == 0 || p.Dst != missing[i-1].Dst {
+				groups = append(groups, i)
+			}
+		}
+		groups = append(groups, len(missing))
 		engines := make([]*graph.KSPEngine, parallel.Workers(workers))
-		computed := parallel.MapWorker(workers, len(missing), func(worker, i int) []graph.Path {
+		computed := make([][]graph.Path, len(missing))
+		parallel.ForEachWorker(workers, len(groups)-1, func(worker, g int) {
 			if engines[worker] == nil {
 				engines[worker] = graph.NewKSPEngine(c.g)
 			}
-			return engines[worker].Paths(missing[i].Src, missing[i].Dst, k)
+			for i := groups[g]; i < groups[g+1]; i++ {
+				computed[i] = engines[worker].Paths(missing[i].Src, missing[i].Dst, k)
+			}
 		})
 		c.mu.Lock()
 		for i, p := range missing {
