@@ -2,9 +2,11 @@ package routing
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"jellyfish/internal/graph"
 	"jellyfish/internal/rng"
 	"jellyfish/internal/topology"
 )
@@ -52,6 +54,39 @@ func TestCompiledMatchesOneShot(t *testing.T) {
 			// Different k must not collide in the memo.
 			tablesEqual(t, "ksp4", NewCompiled(g).KShortest(pairs, 4, 1), c.KShortest(pairs, 4, 1))
 			tablesEqual(t, "ecmp", NewCompiled(g).ECMP(pairs, 8, rng.New(99), 1), c.ECMP(pairs, 8, rng.New(99), 2))
+		}
+	}
+}
+
+// KShortest hands out its missing pairs a destination at a time; that
+// grouping must not reach the table. Every worker count and every order
+// of the input pairs (repeats included, and a memo warmed by an
+// overlapping set) gives the table of one engine answering pair by pair.
+func TestKShortestInvariantToWorkersAndPairOrder(t *testing.T) {
+	g := topology.Jellyfish(60, 10, 7, rng.New(13)).Graph
+	r := rand.New(rand.NewSource(2))
+	var pairs []Pair
+	for i := 0; i < 150; i++ {
+		// 12 destinations, so most groups hold several pairs.
+		pairs = append(pairs, Pair{r.Intn(60), r.Intn(12) * 5})
+	}
+	pairs = append(pairs, pairs[:20]...)
+	want := &Table{Paths: map[Pair][]graph.Path{}, Kind: "ksp-8"}
+	eng := graph.NewKSPEngine(g)
+	for _, p := range pairs {
+		if _, ok := want.Paths[p]; !ok {
+			want.Paths[p] = eng.Paths(p.Src, p.Dst, 8)
+		}
+	}
+	for _, w := range []int{1, 2, 4} {
+		for trial := 0; trial < 3; trial++ {
+			shuffled := append([]Pair(nil), pairs...)
+			r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			label := fmt.Sprintf("workers=%d trial=%d", w, trial)
+			tablesEqual(t, label, want, NewCompiled(g).KShortest(shuffled, 8, w))
+			warm := NewCompiled(g)
+			warm.KShortest(shuffled[:len(shuffled)/3], 8, w)
+			tablesEqual(t, label+" warm", want, warm.KShortest(shuffled, 8, w))
 		}
 	}
 }
