@@ -325,10 +325,11 @@ func BenchmarkPacketKernelMPTCP8(b *testing.B) {
 // One fresh routing.Compiled per op computing 8-shortest paths for every
 // pair of a random permutation on Table 1's jellyfish at seed 1 (245
 // 14-port switches, 780 servers spread as Table 1 spreads them), on one
-// worker: Yen's spur searches alone, with no memo carried between ops.
+// worker: the path searches alone, with no memo carried between ops.
 // allocs/op is budgeted in BENCH_mcf.json's ci_budget; the allocations
-// are the candidate paths Yen builds and the table around them, so the
-// count is a property of the instance, not the machine.
+// are each pair's path backing array and slice headers, the engine's
+// scratch and the table around them, so the count is a property of the
+// instance, not the machine.
 func BenchmarkRoutingKernelKSP8(b *testing.B) {
 	tsrc := rng.New(1).Split("table1")
 	ports, servers := make([]int, 245), make([]int, 245)
