@@ -142,9 +142,9 @@ func (e *KSPEngine) ensure() {
 
 // Paths returns up to k loopless shortest src→dst paths in nondecreasing
 // hop-count order, ties broken by lexicographic vertex order, so results
-// are reproducible. It returns nil if dst is unreachable. The paths of
-// one call share one backing array, each capped at its own length, so an
-// append to one copies it rather than overwriting the next.
+// are reproducible. It returns nil if dst is unreachable. Paths the
+// label stage finds share one backing array, each capped at its own
+// length, so an append to one copies it rather than overwriting the next.
 func (e *KSPEngine) Paths(src, dst, k int) []Path {
 	if k <= 0 {
 		return nil
