@@ -242,8 +242,8 @@ func (e *KSPEngine) enumerate(src, dst, hops, want int, out []int) (int, bool) {
 	c := e.csr
 	label, trail, cursor, onPath := e.label, e.trail, e.cursor, e.onPath
 	trail[0], cursor[0], onPath[src] = src, c.Offsets[src], true
-	found, pos := 0, 0
-	for depth := 0; depth >= 0; {
+	found, pos, depth := 0, 0, 0
+	for depth >= 0 && found < want {
 		u := trail[depth]
 		i := cursor[depth]
 		if i == c.Offsets[u+1] {
@@ -257,12 +257,8 @@ func (e *KSPEngine) enumerate(src, dst, hops, want int, out []int) (int, bool) {
 		if onPath[v] || int(label[v]) > left || (v == dst && left > 0) {
 			continue
 		}
-		e.budget--
-		if e.budget < 0 {
-			for _, w := range trail[:depth+1] {
-				onPath[w] = false
-			}
-			return found, false
+		if e.budget--; e.budget < 0 {
+			break
 		}
 		if left > 1 {
 			depth++
@@ -277,14 +273,12 @@ func (e *KSPEngine) enumerate(src, dst, hops, want int, out []int) (int, bool) {
 		}
 		out[pos] = dst
 		pos++
-		if found++; found == want {
-			for _, w := range trail[:depth+1] {
-				onPath[w] = false
-			}
-			return found, true
-		}
+		found++
 	}
-	return found, true
+	for _, w := range trail[:depth+1] {
+		onPath[w] = false
+	}
+	return found, e.budget >= 0
 }
 
 // yen is Paths' fallback: Yen's ranking algorithm with a BFS inner
