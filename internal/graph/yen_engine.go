@@ -203,7 +203,8 @@ func (e *KSPEngine) labelPaths(src, dst, k int) ([]Path, bool) {
 }
 
 // labelFrom sets label to the hop distances to dst in the current
-// snapshot, unless it already holds them.
+// snapshot, unless it already holds them. Its BFS queue is Yen's
+// dst-side queue, which holds nothing between searches.
 //
 //jellyvet:hotpath
 func (e *KSPEngine) labelFrom(dst int) {
