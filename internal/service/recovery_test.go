@@ -8,8 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 )
 
 // Crash-recovery suite for the durable job store: jobs survive restarts,
@@ -350,25 +350,19 @@ func TestDrainRejectsNewWorkAndFinishesJobs(t *testing.T) {
 	}
 
 	drained := make(chan struct{})
+	waiting := &doneHookCtx{Context: context.Background(), called: make(chan struct{})}
 	go func() { //jellyvet:allow determinism -- test harness goroutine
-		srv.Drain(context.Background())
+		srv.Drain(waiting)
 		close(drained)
 	}()
 
-	// Draining refuses new jobs with 503 shutting_down.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		status, body = doPost(t, ts.URL+"/v1/jobs", recoveryJobBody)
-		if status == http.StatusServiceUnavailable {
-			if !strings.Contains(string(body), "shutting_down") {
-				t.Fatalf("drain submit: body %s, want shutting_down", body)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("drain never started rejecting submissions (last status %d)", status)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Drain asks its context for Done only once it has stopped admitting
+	// work and is waiting on the in-flight job: from then on, new jobs
+	// are refused with 503 shutting_down.
+	<-waiting.called
+	status, body = doPost(t, ts.URL+"/v1/jobs", recoveryJobBody)
+	if status != http.StatusServiceUnavailable || !strings.Contains(string(body), "shutting_down") {
+		t.Fatalf("submit during drain: status %d body %s, want 503 shutting_down", status, body)
 	}
 	<-drained
 	ts.Close()
@@ -388,4 +382,18 @@ func TestDrainRejectsNewWorkAndFinishesJobs(t *testing.T) {
 	if v2.Status != jobSucceeded {
 		t.Fatalf("job after drain+restart: %s, want succeeded (drain must let it finish)", v2.Status)
 	}
+}
+
+// doneHookCtx is a context that closes called the first time its Done
+// method is asked for: a barrier on the moment a caller starts waiting
+// on it.
+type doneHookCtx struct {
+	context.Context
+	once   sync.Once
+	called chan struct{}
+}
+
+func (c *doneHookCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.called) })
+	return c.Context.Done()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -103,7 +104,22 @@ func TestEventStreamCacheHitReplay(t *testing.T) {
 // behind — the store must not accumulate dead sinks across a
 // disconnect storm.
 func TestSSEDisconnectMidStreamFreesSubscriber(t *testing.T) {
-	ts, srv := newTestServer(t, Options{Workers: 1})
+	srv := mustNew(t, Options{Workers: 1})
+	// Every events handler reports its return, after its deferred gauge
+	// decrement has run; the buffer holds a storm's worth, so no handler
+	// waits on the test.
+	const storm = 8
+	returned := make(chan struct{}, storm)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.Handler().ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			returned <- struct{}{}
+		}
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
 	release := make(chan struct{})
 	ctx, cancel := context.WithCancel(context.Background())
 	j := newJob("j990001", "design", nil, cancel)
@@ -121,7 +137,6 @@ func TestSSEDisconnectMidStreamFreesSubscriber(t *testing.T) {
 		}}
 	srv.jobs.start(srv.sched, j, p, ctx)
 
-	const storm = 8
 	var wg sync.WaitGroup
 	for i := 0; i < storm; i++ {
 		wg.Add(1)
@@ -132,6 +147,7 @@ func TestSSEDisconnectMidStreamFreesSubscriber(t *testing.T) {
 			req, _ := http.NewRequestWithContext(reqCtx, "GET", ts.URL+"/v1/jobs/"+j.id+"/events", nil)
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
+				t.Errorf("subscribing: %v", err)
 				return
 			}
 			defer resp.Body.Close()
@@ -145,14 +161,18 @@ func TestSSEDisconnectMidStreamFreesSubscriber(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The gauge drains asynchronously (each handler must observe its
-	// context and return); poll briefly rather than sleeping blind.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.tele.sseSubs.Value() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscriber gauge stuck at %d after disconnect storm", srv.tele.sseSubs.Value())
+	// Each handler must observe its client's disconnect and return while
+	// the job is still running; once all have, the gauge must be back at 0.
+	for i := 0; i < storm; i++ {
+		select {
+		case <-returned:
+		case <-time.After(time.Minute):
+			t.Fatalf("%d of %d event handlers still blocked a minute after their clients disconnected (gauge %d)",
+				storm-i, storm, srv.tele.sseSubs.Value())
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if n := srv.tele.sseSubs.Value(); n != 0 {
+		t.Fatalf("subscriber gauge at %d after every handler returned, want 0", n)
 	}
 	close(release)
 	if got := waitJob(t, ts.URL, j.id); got.Status != jobSucceeded {
