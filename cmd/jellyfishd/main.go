@@ -65,7 +65,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 4, "shard workers (each owns a warm-state cache; any value yields identical responses)")
 	solverWorkers := flag.Int("solver-workers", 1, "CPU parallelism per flow solve; 0 = all cores when -workers is 1, otherwise 1 (many shard workers each running all-core solves would oversubscribe the machine — cross-request parallelism comes from -workers)")
-	cacheEntries := flag.Int("cache", 128, "warm-state cache entries per worker")
+	cacheEntries := flag.Int("cache", 128, "cache entries per worker: a sixth stays with the worker for warm state (families, what-if chains, compiled sims), the rest pools into one response cache shared by all workers")
 	maxSync := flag.Int("max-sync", 0, "admitted concurrent synchronous requests before shedding load with 429 + Retry-After (0 = 8×workers, negative = unlimited; the job API is never gated)")
 	stateDir := flag.String("state-dir", "", "directory for the durable job store (empty = memory-only); replayed on boot so jobs survive restarts")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for Go pprof handlers at /debug/pprof/ (empty = disabled; bind to loopback, e.g. 127.0.0.1:6060)")

@@ -25,7 +25,8 @@ import (
 //   - "chain:" entries checkpoint what-if chains, keyed by the content
 //     digest of the exact (base, seed, scenario-prefix) that produced
 //     them, so resuming from one is bit-identical to replaying it;
-//   - "resp:" entries (scheduler.go) memoize finished response bytes by
+//   - the response tier (scheduler.go), shared by every worker rather
+//     than held in this LRU, memoizes finished response bytes by
 //     canonical request digest;
 //   - "sim:" entries hold compiled transport instances (built topology +
 //     routing.Compiled + flowsim.Sim) keyed by the same topology-family
@@ -286,7 +287,7 @@ func planEvaluate(req *EvaluateRequest) (*plan, *apiError) {
 				emit(ctx, &TrialEvent{Op: "trial", Trial: i, Throughput: lam, Bounds: bounds})
 			}
 			if err := ctx.Err(); err != nil {
-				return nil, err // a truncated trial must not reach the resp: cache
+				return nil, err // a truncated trial must not reach the response tier
 			}
 			resp.Min = slices.Min(resp.Throughputs)
 			resp.Mean = sum / float64(req.Trials)

@@ -226,7 +226,7 @@ func (js *jobStore) start(sched *scheduler, j *job, p *plan, ctx context.Context
 			j.mu.Unlock()
 		}
 		// Jobs skip single-flight (each has its own cancellation scope)
-		// but still hit the response cache on the worker.
+		// but still hit the shared response tier.
 		resp, trace, err := sched.do(ctx, p, false, func() {
 			j.mu.Lock()
 			if j.status == jobQueued {

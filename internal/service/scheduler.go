@@ -21,6 +21,9 @@ import (
 // sequentially, which is what makes holding mutable warm assets
 // (capsearch.Family memoization, reusable solver chains) safe without any
 // locking: confinement, not synchronization, is the ownership story.
+// Finished responses are the exception: they are immutable, so they live
+// in one response tier the scheduler shares across shards and serves
+// before a request ever queues.
 //
 // Determinism argument (tested end to end in determinism_test.go): every
 // cache entry — response bytes, chain checkpoints, topology families — is
@@ -66,7 +69,7 @@ type task struct {
 	err    error
 }
 
-// A cachedResult is one "resp:" cache entry: the response bytes plus
+// A cachedResult is one response-tier entry: the response bytes plus
 // the progress-event payloads the execution emitted. They live in one
 // entry so a cache hit replays exactly the event stream a cold
 // execution produces — evicting one without the other could otherwise
@@ -113,27 +116,45 @@ func (w *worker) lookup(tier int, key string) (any, bool) {
 
 type scheduler struct {
 	workers []*worker
-	tele    *tele
+	// resp is the response tier, shared by every shard (cacheSplit).
+	resp *respCache
+	tele *tele
 
 	mu       sync.Mutex
 	inflight map[string]*task
-	closed   bool
+	// closed is set under mu (so a submit racing close is decided there)
+	// and read without it on the hit path.
+	closed atomic.Bool
 	// submitters tracks in-progress queue sends so close can wait for
 	// them before closing the queues (a send on a closed channel panics).
 	submitters sync.WaitGroup
 	wg         sync.WaitGroup
 }
 
+// cacheSplit divides the entry budget of workers × cacheEntries between
+// the shared response tier and the per-worker warm-state LRUs (family:,
+// chain:, sim:): each worker keeps a sixth of its cacheEntries for warm
+// state, and the rest pools into the response tier. Responses are most
+// of what a planning workload caches, while warm entries (compiled sims
+// above all) are the large ones, so a bigger warm share costs resident
+// memory; DESIGN.md §10 gives the traced run behind the sixth.
+func cacheSplit(workers, cacheEntries int) (shared, perWorker int) {
+	perWorker = cacheEntries / 6
+	return workers * (cacheEntries - perWorker), perWorker
+}
+
 func newScheduler(workers, solverWorkers, cacheEntries int, tl *tele) *scheduler {
+	shared, perWorker := cacheSplit(workers, cacheEntries)
 	s := &scheduler{
 		workers:  make([]*worker, workers),
+		resp:     newRespCache(shared),
 		inflight: make(map[string]*task),
 		tele:     tl,
 	}
 	for i := range s.workers {
 		w := &worker{
 			queue:         make(chan *task, 256),
-			cache:         newLRU(cacheEntries),
+			cache:         newLRU(perWorker),
 			solverWorkers: solverWorkers,
 			tele:          tl.worker(i),
 		}
@@ -151,18 +172,31 @@ func newScheduler(workers, solverWorkers, cacheEntries int, tl *tele) *scheduler
 }
 
 // do schedules a plan and blocks until its execution — or the identical
-// in-flight execution it was deduplicated onto — completes. ctx is the
-// execution context (checked at dequeue and polled by the executors
-// and the kernels beneath them; never nil); dedup enables single-flight coalescing, onStart (optional)
-// fires when execution actually begins on the worker. The returned
-// trace is the execution's recorded span tree (nil with telemetry
-// disabled); deduped followers and response-cache hits share the
-// original execution's trace.
+// in-flight execution it was deduplicated onto — completes. A response
+// already in the response tier is served on the caller's goroutine,
+// before single-flight and enqueue, so a hit never waits behind a busy
+// shard. ctx is the execution context (checked here, again at dequeue,
+// and polled by the executors and the kernels beneath them; never nil);
+// dedup enables single-flight coalescing, onStart (optional) fires when
+// execution actually begins on the worker. The returned trace is the
+// execution's recorded span tree (nil with telemetry disabled); deduped
+// followers and response-tier hits share the original execution's trace.
 func (s *scheduler) do(ctx context.Context, p *plan, dedup bool, onStart func(), onEvent func([]byte)) ([]byte, *telemetry.Trace, error) {
+	if s.closed.Load() {
+		return nil, nil, errSchedulerClosed
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	if cr, ok := s.resp.get(p.key); ok {
+		s.tele.respHits.Inc()
+		replayEvents(cr.events, onEvent)
+		return cr.resp, cr.trace, nil
+	}
 	t := &task{plan: p, ctx: ctx, dedup: dedup, onStart: onStart, onEvent: onEvent, done: make(chan struct{})}
 	t.enq = telemetry.StartTimer()
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return nil, nil, errSchedulerClosed
 	}
@@ -173,10 +207,8 @@ func (s *scheduler) do(ctx context.Context, p *plan, dedup bool, onStart func(),
 			<-prior.done
 			// A deduped follower receives the leader's event stream after
 			// the fact — identical payload bytes, just not live.
-			if onEvent != nil && prior.err == nil {
-				for _, e := range prior.events {
-					onEvent(e)
-				}
+			if prior.err == nil {
+				replayEvents(prior.events, onEvent)
 			}
 			return prior.resp, prior.trace, prior.err
 		}
@@ -226,18 +258,17 @@ func (w *worker) execute(s *scheduler, t *task) {
 		t.err = err
 		return
 	}
-	if v, ok := w.lookup(tierResp, "resp:"+t.key); ok {
-		cr := v.(*cachedResult)
-		if t.onEvent != nil {
-			for _, e := range cr.events {
-				t.onEvent(e)
-			}
-		}
+	// Re-check the response tier: an identical job queued behind the
+	// execution that filled it (jobs skip single-flight) runs only once.
+	if cr, ok := s.resp.get(t.key); ok {
+		s.tele.respHits.Inc()
+		replayEvents(cr.events, t.onEvent)
 		t.resp = cr.resp
 		t.events = cr.events
 		t.trace = cr.trace
 		return
 	}
+	s.tele.respMisses.Inc()
 	if t.onStart != nil {
 		t.onStart()
 	}
@@ -272,7 +303,19 @@ func (w *worker) execute(s *scheduler, t *task) {
 			return
 		}
 	}
-	w.cache.put("resp:"+t.key, &cachedResult{resp: b, events: t.events, trace: t.trace})
+	s.resp.put(t.key, &cachedResult{resp: b, events: t.events, trace: t.trace})
+}
+
+// replayEvents feeds a recorded event stream to onEvent (if any) in emission
+// order: a hit's or a follower's subscriber sees exactly the payloads a
+// cold execution emits.
+func replayEvents(events [][]byte, onEvent func([]byte)) {
+	if onEvent == nil {
+		return
+	}
+	for _, e := range events {
+		onEvent(e)
+	}
 }
 
 // runGuarded executes a plan, converting a panic into a 500. The shard
@@ -315,11 +358,11 @@ func runGuarded(s *scheduler, t *task, w *worker) (v any, err error) {
 // close returns errSchedulerClosed.
 func (s *scheduler) close() {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
+	s.closed.Store(true)
 	s.mu.Unlock()
 	s.submitters.Wait()
 	for _, w := range s.workers {

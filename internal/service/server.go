@@ -27,8 +27,11 @@ type Options struct {
 	// all-core solves would oversubscribe the machine — cross-request
 	// parallelism comes from Workers.
 	SolverWorkers int
-	// CacheEntries bounds each worker's warm-state cache (default 128
-	// entries across response, family, chain, and sim tiers).
+	// CacheEntries is the cache budget per worker (default 128 entries).
+	// Each worker keeps a sixth of it for its warm-state tiers (family,
+	// chain, sim); the rest of every worker's budget pools into one
+	// response tier shared by all workers, so the total stays
+	// Workers × CacheEntries.
 	CacheEntries int
 	// MaxSyncInflight bounds concurrently admitted synchronous planning
 	// requests (default 8×Workers; negative = unlimited). Beyond the

@@ -312,9 +312,12 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// tierHits and tierMisses sum one cache tier's counters across the
-// server's shard workers.
+// tierHits and tierMisses read one cache tier's counters: the shared
+// response tier's, or a warm tier's summed across the shard workers.
 func tierHits(srv *Server, tier int) int64 {
+	if tier == tierResp {
+		return srv.tele.respHits.Value()
+	}
 	var n int64
 	for _, w := range srv.sched.workers {
 		n += w.tele.hits[tier].Value()
@@ -323,6 +326,9 @@ func tierHits(srv *Server, tier int) int64 {
 }
 
 func tierMisses(srv *Server, tier int) int64 {
+	if tier == tierResp {
+		return srv.tele.respMisses.Value()
+	}
 	var n int64
 	for _, w := range srv.sched.workers {
 		n += w.tele.misses[tier].Value()

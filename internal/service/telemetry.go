@@ -33,16 +33,18 @@ import (
 const recorderSpans = 1024
 
 // The warm-state cache tiers, indexing each worker's hit/miss counters.
+// tierResp, the response tier, follows them: it is shared by every
+// worker, so its counters are the scheduler's (tele.respHits).
 const (
-	tierResp = iota
-	tierFamily
+	tierFamily = iota
 	tierChain
 	tierSim
-	numTiers
+	numWarmTiers
+	tierResp = numWarmTiers
 )
 
-// tierNames label the tiers' hit/miss series.
-var tierNames = [numTiers]string{"resp", "family", "chain", "sim"}
+// warmTierNames label the warm tiers' hit/miss series.
+var warmTierNames = [numWarmTiers]string{"family", "chain", "sim"}
 
 // workerTele is one shard worker's telemetry: the goroutine-confined
 // flight recorder plus that worker's per-tier cache counters and the
@@ -54,7 +56,7 @@ var tierNames = [numTiers]string{"resp", "family", "chain", "sim"}
 type workerTele struct {
 	rec *telemetry.Recorder
 
-	hits, misses [numTiers]*telemetry.Counter
+	hits, misses [numWarmTiers]*telemetry.Counter
 
 	// search carries the worker's recorder and the shared kernel
 	// counters into capacity searches (capsearch.probe > capsearch.trial
@@ -74,6 +76,10 @@ type tele struct {
 	store        *persist.Obs
 	deduped      *telemetry.Counter
 	syncRejected *telemetry.Counter
+	// respHits and respMisses count the shared response tier: one hit
+	// or one miss per request that reaches the tier (deduplicated
+	// followers count neither).
+	respHits, respMisses *telemetry.Counter
 
 	// Failure-containment families (DESIGN.md §16).
 	panics        *telemetry.Counter
@@ -105,7 +111,7 @@ func newTele(workers int) *tele {
 			telemetry.Labels("op", o.name))
 	}
 	t.queueWait = reg.Histogram("jellyfishd_scheduler_queue_wait_seconds",
-		"Time a task spent queued on its shard before execution began.", "")
+		"Time a task spent queued on its shard before execution began; only queued requests are observed (response-tier hits are served before the queue, deduplicated followers wait on their leader).", "")
 	t.sseSubs = reg.Gauge("jellyfishd_sse_subscribers",
 		"Currently connected job event-stream (SSE) subscribers.", "")
 	t.replayDur = reg.Histogram("jellyfishd_jobstore_replay_seconds",
@@ -133,17 +139,19 @@ func newTele(workers int) *tele {
 			"Snapshot write latency (temp file, fsync, rename, journal reset).", ""),
 	}
 
-	for tier, name := range tierNames {
+	const hitsHelp = "Cache hits by tier: the shared response tier (tier=\"resp\", no worker label) and each worker's warm-state tiers."
+	t.respHits = reg.Counter("jellyfishd_cache_hits_total", hitsHelp, telemetry.Labels("tier", "resp"))
+	for tier, name := range warmTierNames {
 		for i, wt := range t.workers {
-			wt.hits[tier] = reg.Counter("jellyfishd_cache_hits_total",
-				"Warm-state cache hits by worker and tier.",
+			wt.hits[tier] = reg.Counter("jellyfishd_cache_hits_total", hitsHelp,
 				telemetry.Labels("worker", strconv.Itoa(i), "tier", name))
 		}
 	}
-	for tier, name := range tierNames {
+	const missesHelp = "Cache misses by tier: the shared response tier (tier=\"resp\", no worker label) and each worker's warm-state tiers."
+	t.respMisses = reg.Counter("jellyfishd_cache_misses_total", missesHelp, telemetry.Labels("tier", "resp"))
+	for tier, name := range warmTierNames {
 		for i, wt := range t.workers {
-			wt.misses[tier] = reg.Counter("jellyfishd_cache_misses_total",
-				"Warm-state cache misses by worker and tier.",
+			wt.misses[tier] = reg.Counter("jellyfishd_cache_misses_total", missesHelp,
 				telemetry.Labels("worker", strconv.Itoa(i), "tier", name))
 		}
 	}
@@ -183,9 +191,9 @@ func newTele(workers int) *tele {
 }
 
 // bindScheduler registers the read-out bridges over the scheduler's own
-// state (per-worker queue depth and cache size) and the scheduler's
-// counters. Called once, right after the scheduler is built; a no-op
-// with telemetry disabled.
+// state (per-worker queue depth, shared response-tier and per-worker
+// cache sizes) and the scheduler's counters. Called once, right after
+// the scheduler is built; a no-op with telemetry disabled.
 func (t *tele) bindScheduler(s *scheduler) {
 	if t.reg == nil {
 		return
@@ -196,9 +204,11 @@ func (t *tele) bindScheduler(s *scheduler) {
 			telemetry.Labels("worker", strconv.Itoa(i)),
 			func() int64 { return int64(len(w.queue)) })
 	}
+	const entriesHelp = "Cache entries: the shared response tier (tier=\"resp\") and each worker's warm-state cache (worker label)."
+	t.reg.GaugeFunc("jellyfishd_cache_entries", entriesHelp,
+		telemetry.Labels("tier", "resp"), s.resp.size.Load)
 	for i, w := range s.workers {
-		t.reg.GaugeFunc("jellyfishd_cache_entries",
-			"Entries across the worker's warm-state cache tiers.",
+		t.reg.GaugeFunc("jellyfishd_cache_entries", entriesHelp,
 			telemetry.Labels("worker", strconv.Itoa(i)), w.cacheLen.Load)
 	}
 	t.deduped = t.reg.Counter("jellyfishd_sched_deduped_total",
