@@ -32,3 +32,34 @@ func TestTransportAPIGolden(t *testing.T) {
 		}
 	}
 }
+
+// The throughput API pinned byte for byte: the SHA-256 of the bits of
+// OptimalThroughput, a WhatIfEvaluator's OptimalThroughput, all three
+// EstimateThroughput brackets and MeasuredBisection, on two seeds over a
+// loaded network and over a lightly loaded one whose raw λ exceeds 1, so
+// both sides of the cap at 1 are covered.
+func TestThroughputAPIGolden(t *testing.T) {
+	const want = "f5d1b327c9a11d0f466c2bf1092c394a12bf51e6d8b23f870e8a43f99460fbd1"
+	h := sha256.New()
+	for _, cfg := range []Config{
+		{Switches: 30, Ports: 8, NetworkDegree: 5, Seed: 15},
+		{Switches: 20, Ports: 8, NetworkDegree: 7, Seed: 3},
+	} {
+		net := New(cfg)
+		ev := NewWhatIfEvaluator(1)
+		for _, seed := range []uint64{16, 17} {
+			fmt.Fprintf(h, "%d %x %x", seed, math.Float64bits(OptimalThroughput(net, seed)), math.Float64bits(ev.OptimalThroughput(net, seed)))
+			for _, est := range []string{"bisection", "spectral", "sampled-mcf"} {
+				lo, hi, err := EstimateThroughput(net, est, 0, seed)
+				if err != nil {
+					t.Fatalf("%s: %v", est, err)
+				}
+				fmt.Fprintf(h, " %s %x %x", est, math.Float64bits(lo), math.Float64bits(hi))
+			}
+			fmt.Fprintf(h, " %x\n", math.Float64bits(MeasuredBisection(net, seed)))
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("sha256 %s, want %s", got, want)
+	}
+}
