@@ -1,4 +1,4 @@
-package maxflow
+package graph_test
 
 import (
 	"testing"
@@ -7,6 +7,9 @@ import (
 	"jellyfish/internal/rng"
 	"jellyfish/internal/topology"
 )
+
+// EdgeConnectivity lets the tests below call the function unqualified.
+var EdgeConnectivity = graph.EdgeConnectivity
 
 func TestEdgeConnectivityRing(t *testing.T) {
 	g := graph.New(8)

@@ -25,7 +25,6 @@ var undeclaredDeterminismDeps = map[string]string{
 	"jellyfish/internal/placement":   "construction-time only; candidate for declaration once its miswiring paths grow",
 	"jellyfish/internal/expansion":   "construction-time only; candidate for declaration once rewiring runs on response paths",
 	"jellyfish/internal/persist":     "storage I/O, not computation: journal/blob round-tripping is byte-exact by its own tests, and nothing it stores enters a response digest uncomputed",
-	"jellyfish/internal/maxflow":     "exact max-flow solver behind edge connectivity; output is a single scalar",
 	"jellyfish/internal/metrics":     "pure aggregation over already-deterministic inputs",
 	"jellyfish/internal/telemetry":   "the observability core: it owns every clock read by design so kernels never touch time, and jellyvet's obsconfine analyzer keeps its data flow one-way",
 	"jellyfish/internal/faultinject": "the chaos switchboard: disabled is the default and costs one atomic load; the faultconfine analyzer plus the faults-off byte-identity suite pin that an inactive schedule changes nothing",

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"jellyfish/internal/graph"
-	"jellyfish/internal/maxflow"
 	"jellyfish/internal/mcf"
 	"jellyfish/internal/metrics"
 	"jellyfish/internal/placement"
@@ -57,7 +56,7 @@ func DetectMiswirings(blueprint, built *Topology) []Miswiring {
 // EdgeConnectivity returns the minimum number of link failures that can
 // disconnect the network. For Jellyfish this is almost surely the network
 // degree r (§4.3).
-func EdgeConnectivity(t *Topology) int { return maxflow.EdgeConnectivity(t.Graph) }
+func EdgeConnectivity(t *Topology) int { return graph.EdgeConnectivity(t.Graph) }
 
 // ExpansionQuality reports the second adjacency eigenvalue of an r-regular
 // topology together with the Ramanujan optimum 2√(r−1): the closer the
