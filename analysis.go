@@ -130,10 +130,5 @@ func EquipmentForServers(servers, ports int) int {
 // minimum bisection of an explicit topology, normalized by half the
 // servers' NIC bandwidth and capped at 1.
 func MeasuredBisection(t *Topology, seed uint64) float64 {
-	cut, _ := estimate.KLBisection(t.Graph, t.Servers, 4, rng.New(seed))
-	servers := t.NumServers()
-	if servers == 0 {
-		return 0
-	}
-	return metrics.Clamp01(float64(cut) / (float64(servers) / 2))
+	return estimate.NormalizedKLBisection(t.Graph, t.Servers, rng.New(seed))
 }

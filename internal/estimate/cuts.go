@@ -89,6 +89,23 @@ func MinPortsForServers(servers, k int) (ports, n, r int) {
 	return bestPorts, bestN, bestR
 }
 
+// NormalizedKLBisection returns the server-normalized bisection of an
+// explicit topology: the links crossing KLBisection's server-balanced cut
+// (4 restarts) over half the servers' NIC bandwidth, capped at 1 since a
+// network cannot deliver more than NIC rate per server. servers[v] is the
+// server count of switch v; with no servers the result is 0.
+func NormalizedKLBisection(g *graph.Graph, servers []int, src *rng.Source) float64 {
+	total := 0
+	for _, s := range servers {
+		total += s
+	}
+	if total == 0 {
+		return 0
+	}
+	cut, _ := KLBisection(g, servers, 4, src)
+	return min(1, float64(cut)/(float64(total)/2))
+}
+
 // KLBisection partitions the graph's vertices into two halves balanced by
 // the given vertex weights (e.g. attached servers) while heuristically
 // minimizing crossing edges, using randomized-restart Kernighan–Lin-style

@@ -125,6 +125,36 @@ func TestKLBisectionTwoCliques(t *testing.T) {
 	}
 }
 
+// Two K5s joined by one bridge carry 2 servers per switch: the bridge is
+// the cut, over half of 20 servers. K6 with one server each cuts 9 links
+// for 3 servers' worth of NIC rate and caps at 1; no servers gives 0.
+func TestNormalizedKLBisection(t *testing.T) {
+	g := graph.New(10)
+	for a := 0; a < 5; a++ {
+		for b := a + 1; b < 5; b++ {
+			g.AddEdge(a, b)
+			g.AddEdge(a+5, b+5)
+		}
+	}
+	g.AddEdge(0, 5)
+	two := []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2}
+	if got := NormalizedKLBisection(g, two, rng.New(2)); got != 0.1 {
+		t.Fatalf("two-clique normalized bisection = %v, want 0.1", got)
+	}
+	if got := NormalizedKLBisection(g, make([]int, 10), rng.New(2)); got != 0 {
+		t.Fatalf("serverless normalized bisection = %v, want 0", got)
+	}
+	k6 := graph.New(6)
+	for a := 0; a < 6; a++ {
+		for b := a + 1; b < 6; b++ {
+			k6.AddEdge(a, b)
+		}
+	}
+	if got := NormalizedKLBisection(k6, []int{1, 1, 1, 1, 1, 1}, rng.New(3)); got != 1 {
+		t.Fatalf("K6 normalized bisection = %v, want the cap 1", got)
+	}
+}
+
 func TestKLBisectionRespectsWeights(t *testing.T) {
 	// Vertex 0 has weight 4 (= all others combined); it must sit alone.
 	g := graph.New(5)

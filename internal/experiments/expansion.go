@@ -1,9 +1,4 @@
-// Package expansion implements the incremental-growth machinery of §4.2:
-// staged, budget-constrained expansion arcs for Jellyfish and for a
-// LEGUP-like Clos upgrader (the paper compares against LEGUP [14], which is
-// closed-source; DESIGN.md §8 documents the substitution), under a shared
-// cost model for switches, cables, and rewiring.
-package expansion
+package experiments
 
 import (
 	"fmt"
@@ -14,28 +9,33 @@ import (
 	"jellyfish/internal/topology"
 )
 
-// CostModel prices the equipment and labor charged to both designs.
+// The incremental-growth machinery behind Fig. 7 (§4.2): staged,
+// budget-constrained expansion arcs for Jellyfish and for a LEGUP-like
+// Clos upgrader (the paper compares against LEGUP [14], which is
+// closed-source; DESIGN.md §8 documents the substitution), under a shared
+// cost model for switches, cables, and rewiring.
+
+// costModel prices the equipment and labor charged to both designs.
 // The defaults follow the ballpark figures of §6: ~$100/port switches,
 // $5-6/m electrical cables (~$60 per installed cable including labor), and
 // rewiring charged per cable end moved.
-type CostModel struct {
+type costModel struct {
 	PortCost   float64 // dollars per switch port purchased
 	CableCost  float64 // dollars per new cable installed
 	RewireCost float64 // dollars per existing cable moved or removed
 }
 
-// DefaultCostModel returns the cost model used by the Fig. 7 reproduction.
-func DefaultCostModel() CostModel {
-	return CostModel{PortCost: 100, CableCost: 60, RewireCost: 30}
+// defaultCostModel returns the cost model used by the Fig. 7 reproduction.
+func defaultCostModel() costModel {
+	return costModel{PortCost: 100, CableCost: 60, RewireCost: 30}
 }
 
 // SwitchCost prices one k-port switch.
-func (c CostModel) SwitchCost(k int) float64 { return float64(k) * c.PortCost }
+func (c costModel) SwitchCost(k int) float64 { return float64(k) * c.PortCost }
 
-// A Stage records one point of an expansion arc.
-type Stage struct {
+// A stage records one point of an expansion arc.
+type stage struct {
 	Index               int
-	Budget              float64 // budget available for this stage's purchases
 	Spent               float64
 	CumulativeCost      float64
 	Servers             int
@@ -43,20 +43,20 @@ type Stage struct {
 	NormalizedBisection float64
 }
 
-// ArcConfig describes the Fig. 7 scenario: an initial network, one stage
+// arcConfig describes the Fig. 7 scenario: an initial network, one stage
 // that adds servers, then switch-only stages, all under per-stage budgets.
-type ArcConfig struct {
-	SwitchPorts       int // port count of every switch (default 48)
+type arcConfig struct {
+	SwitchPorts       int // port count of every switch (default 24)
 	InitialServers    int // default 480
 	InitialSwitches   int // default 34
 	StageBudgets      []float64
 	ServersAddedStage int // stage index that adds servers (default 1)
 	ServersAdded      int // default 240
 	Seed              uint64
-	Cost              CostModel
+	Cost              costModel
 }
 
-func (c ArcConfig) withDefaults() ArcConfig {
+func (c arcConfig) withDefaults() arcConfig {
 	if c.SwitchPorts == 0 {
 		c.SwitchPorts = 24
 	}
@@ -75,32 +75,17 @@ func (c ArcConfig) withDefaults() ArcConfig {
 	if c.ServersAddedStage == 0 {
 		c.ServersAddedStage = 1
 	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCostModel()
+	if c.Cost == (costModel{}) {
+		c.Cost = defaultCostModel()
 	}
 	return c
 }
 
-// measuredBisection computes the server-normalized bisection of an explicit
-// topology with a KL heuristic cut balanced by attached servers.
-func measuredBisection(t *topology.Topology, src *rng.Source) float64 {
-	cut, _ := estimate.KLBisection(t.Graph, t.Servers, 4, src)
-	servers := t.NumServers()
-	if servers == 0 {
-		return 0
-	}
-	norm := float64(cut) / (float64(servers) / 2)
-	if norm > 1 {
-		norm = 1 // a network cannot deliver more than NIC rate per server
-	}
-	return norm
-}
-
-// JellyfishArc runs the staged expansion for Jellyfish: each stage buys as
+// jellyfishArc runs the staged expansion for Jellyfish: each stage buys as
 // many switches as the budget allows (switch + cable + rewire costs) and
 // splices them in randomly; the designated stage also spreads the new
 // servers over the new switches.
-func JellyfishArc(cfg ArcConfig) []Stage {
+func jellyfishArc(cfg arcConfig) []stage {
 	cfg = cfg.withDefaults()
 	src := rng.New(cfg.Seed).Split("jellyfish-arc")
 	k := cfg.SwitchPorts
@@ -111,21 +96,17 @@ func JellyfishArc(cfg ArcConfig) []Stage {
 	left := cfg.InitialServers
 	for i := range ports {
 		ports[i] = k
-		s := perSwitch
-		if s > left {
-			s = left
-		}
-		servers[i] = s
-		left -= s
+		servers[i] = min(perSwitch, left)
+		left -= servers[i]
 	}
 	top := topology.JellyfishHeterogeneous(ports, servers, src.Split("initial"))
 
-	stages := make([]Stage, 0, len(cfg.StageBudgets)+1)
+	stages := make([]stage, 0, len(cfg.StageBudgets)+1)
 	cumulative := initialCost(top, cfg.Cost)
-	stages = append(stages, Stage{
-		Index: 0, Budget: 0, Spent: cumulative, CumulativeCost: cumulative,
+	stages = append(stages, stage{
+		Index: 0, Spent: cumulative, CumulativeCost: cumulative,
 		Servers: top.NumServers(), Switches: top.NumSwitches(),
-		NormalizedBisection: measuredBisection(top, src.SplitN("bisect", 0)),
+		NormalizedBisection: estimate.NormalizedKLBisection(top.Graph, top.Servers, src.SplitN("bisect", 0)),
 	})
 
 	for si, budget := range cfg.StageBudgets {
@@ -142,10 +123,7 @@ func JellyfishArc(cfg ArcConfig) []Stage {
 			deg := r
 			sv := 0
 			if serversThisStage > 0 {
-				sv = perSwitch
-				if sv > serversThisStage {
-					sv = serversThisStage
-				}
+				sv = min(perSwitch, serversThisStage)
 				deg = k - sv
 			}
 			unit := cfg.Cost.SwitchCost(k) +
@@ -165,29 +143,29 @@ func JellyfishArc(cfg ArcConfig) []Stage {
 			newSwitches++
 		}
 		cumulative += spent
-		stages = append(stages, Stage{
-			Index: si + 1, Budget: budget, Spent: spent, CumulativeCost: cumulative,
+		stages = append(stages, stage{
+			Index: si + 1, Spent: spent, CumulativeCost: cumulative,
 			Servers: top.NumServers(), Switches: top.NumSwitches(),
-			NormalizedBisection: measuredBisection(top, src.SplitN("bisect", si+1)),
+			NormalizedBisection: estimate.NormalizedKLBisection(top.Graph, top.Servers, src.SplitN("bisect", si+1)),
 		})
 	}
 	return stages
 }
 
-// ClosArc runs the staged expansion for the LEGUP-like Clos design: a
+// closArc runs the staged expansion for the LEGUP-like Clos design: a
 // two-level folded Clos (ToRs + aggregation) that must preserve Clos
 // structure at every stage. Like LEGUP it reserves a fraction of
 // aggregation ports free for future expansion, and pays rewiring costs to
 // re-spread ToR uplinks evenly whenever the aggregation layer grows.
-func ClosArc(cfg ArcConfig) []Stage {
+func closArc(cfg arcConfig) []stage {
 	cfg = cfg.withDefaults()
 	k := cfg.SwitchPorts
 
 	c := newClos(cfg, k)
-	stages := make([]Stage, 0, len(cfg.StageBudgets)+1)
+	stages := make([]stage, 0, len(cfg.StageBudgets)+1)
 	top := c.build()
 	cumulative := initialCost(top, cfg.Cost)
-	stages = append(stages, Stage{
+	stages = append(stages, stage{
 		Index: 0, Spent: cumulative, CumulativeCost: cumulative,
 		Servers: top.NumServers(), Switches: top.NumSwitches(),
 		NormalizedBisection: c.normalizedBisection(),
@@ -196,7 +174,7 @@ func ClosArc(cfg ArcConfig) []Stage {
 	for si, budget := range cfg.StageBudgets {
 		spent := 0.0
 		if si+1 == cfg.ServersAddedStage {
-			spent += c.addServers(cfg.ServersAdded, cfg.Cost, budget)
+			spent += c.addServers(cfg.ServersAdded, cfg.Cost)
 		}
 		// Buy aggregation switches with the remaining budget. Each new agg
 		// switch requires re-spreading every ToR's uplinks (rewiring cost
@@ -214,8 +192,8 @@ func ClosArc(cfg ArcConfig) []Stage {
 		}
 		cumulative += spent
 		top = c.build()
-		stages = append(stages, Stage{
-			Index: si + 1, Budget: budget, Spent: spent, CumulativeCost: cumulative,
+		stages = append(stages, stage{
+			Index: si + 1, Spent: spent, CumulativeCost: cumulative,
 			Servers: top.NumServers(), Switches: top.NumSwitches(),
 			NormalizedBisection: c.normalizedBisection(),
 		})
@@ -234,7 +212,7 @@ type clos struct {
 	extraTors   int // ToRs added later (server expansion)
 }
 
-func newClos(cfg ArcConfig, k int) *clos {
+func newClos(cfg arcConfig, k int) *clos {
 	c := &clos{k: k, reserveFrac: 0.25, servers: cfg.InitialServers}
 	// Split the initial switches between ToR and aggregation so the initial
 	// bisection is maximized subject to carrying all servers: ToRs carry
@@ -261,13 +239,6 @@ func newClos(cfg ArcConfig, k int) *clos {
 	return c
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // uplinksPerTor returns how many uplinks each ToR can run: limited by its
 // own free ports and by the aggregation capacity remaining after LEGUP-like
 // port reservation.
@@ -275,8 +246,7 @@ func (c *clos) uplinksPerTor() int {
 	own := c.k - c.serversPer
 	tors := c.torSwitches + c.extraTors
 	aggCapacity := int(float64(c.aggSwitches*c.k) * (1 - c.reserveFrac))
-	fromAgg := aggCapacity / tors
-	return min(own, fromAgg)
+	return min(own, aggCapacity/tors)
 }
 
 // normalizedBisection returns the Clos's server-normalized bisection
@@ -288,11 +258,7 @@ func (c *clos) normalizedBisection() float64 {
 	if c.serversPer == 0 {
 		return 0
 	}
-	norm := float64(c.uplinksPerTor()) / float64(c.serversPer)
-	if norm > 1 {
-		return 1
-	}
-	return norm
+	return min(1, float64(c.uplinksPerTor())/float64(c.serversPer))
 }
 
 func (c *clos) uplinksMovedByAggGrowth() int {
@@ -307,7 +273,7 @@ func (c *clos) newCablesForAgg() int {
 
 // addServers buys the ToRs needed for extra servers (a mandatory purchase,
 // mirroring the Jellyfish arc) and returns the amount spent.
-func (c *clos) addServers(servers int, cost CostModel, budget float64) float64 {
+func (c *clos) addServers(servers int, cost costModel) float64 {
 	spent := 0.0
 	for servers > 0 {
 		sv := min(c.serversPer, servers)
@@ -319,7 +285,6 @@ func (c *clos) addServers(servers int, cost CostModel, budget float64) float64 {
 		servers -= sv
 		spent += unit
 	}
-	_ = budget
 	return spent
 }
 
@@ -361,7 +326,7 @@ func (c *clos) build() *topology.Topology {
 	return t
 }
 
-func initialCost(t *topology.Topology, cost CostModel) float64 {
+func initialCost(t *topology.Topology, cost costModel) float64 {
 	return float64(t.TotalPorts())*cost.PortCost +
 		float64(t.NumLinks()+t.NumServers())*cost.CableCost
 }

@@ -1,11 +1,11 @@
-package expansion
+package experiments
 
 import (
 	"testing"
 )
 
-func smallArcConfig() ArcConfig {
-	return ArcConfig{
+func smallArcConfig() arcConfig {
+	return arcConfig{
 		SwitchPorts:     24,
 		InitialServers:  120,
 		InitialSwitches: 12,
@@ -16,7 +16,7 @@ func smallArcConfig() ArcConfig {
 }
 
 func TestDefaultCostModel(t *testing.T) {
-	c := DefaultCostModel()
+	c := defaultCostModel()
 	if c.PortCost <= 0 || c.CableCost <= 0 || c.RewireCost <= 0 {
 		t.Fatalf("cost model has non-positive entries: %+v", c)
 	}
@@ -26,7 +26,7 @@ func TestDefaultCostModel(t *testing.T) {
 }
 
 func TestJellyfishArcShape(t *testing.T) {
-	stages := JellyfishArc(smallArcConfig())
+	stages := jellyfishArc(smallArcConfig())
 	if len(stages) != 5 {
 		t.Fatalf("stages = %d, want 5", len(stages))
 	}
@@ -52,7 +52,7 @@ func TestJellyfishArcBudgetsRespected(t *testing.T) {
 	// Switch-only stages must respect their budgets; the server-adding
 	// stage is a mandatory purchase (both designs) and may exceed it.
 	cfg := smallArcConfig().withDefaults()
-	stages := JellyfishArc(cfg)
+	stages := jellyfishArc(cfg)
 	for i, s := range stages[1:] {
 		if i+1 == cfg.ServersAddedStage {
 			continue
@@ -64,7 +64,7 @@ func TestJellyfishArcBudgetsRespected(t *testing.T) {
 }
 
 func TestJellyfishArcBisectionImproves(t *testing.T) {
-	stages := JellyfishArc(smallArcConfig())
+	stages := jellyfishArc(smallArcConfig())
 	first, last := stages[1], stages[len(stages)-1]
 	// Adding switch-only capacity must not reduce bisection materially.
 	if last.NormalizedBisection < first.NormalizedBisection {
@@ -74,7 +74,7 @@ func TestJellyfishArcBisectionImproves(t *testing.T) {
 }
 
 func TestClosArcShape(t *testing.T) {
-	stages := ClosArc(smallArcConfig())
+	stages := closArc(smallArcConfig())
 	if len(stages) != 5 {
 		t.Fatalf("stages = %d, want 5", len(stages))
 	}
@@ -90,7 +90,7 @@ func TestClosArcShape(t *testing.T) {
 
 func TestClosArcBudgetsRespected(t *testing.T) {
 	cfg := smallArcConfig().withDefaults()
-	stages := ClosArc(cfg)
+	stages := closArc(cfg)
 	for i, s := range stages[1:] {
 		if i+1 == cfg.ServersAddedStage {
 			continue // mandatory server purchase
@@ -105,8 +105,8 @@ func TestClosArcBudgetsRespected(t *testing.T) {
 // exceeds the Clos upgrader's at every post-expansion stage.
 func TestJellyfishBeatsClosArc(t *testing.T) {
 	cfg := smallArcConfig()
-	jf := JellyfishArc(cfg)
-	clos := ClosArc(cfg)
+	jf := jellyfishArc(cfg)
+	clos := closArc(cfg)
 	wins := 0
 	for i := 1; i < len(jf); i++ {
 		if jf[i].NormalizedBisection >= clos[i].NormalizedBisection {
@@ -124,7 +124,7 @@ func TestJellyfishBeatsClosArc(t *testing.T) {
 }
 
 func TestArcDefaultsApplied(t *testing.T) {
-	cfg := ArcConfig{}.withDefaults()
+	cfg := arcConfig{}.withDefaults()
 	if cfg.SwitchPorts != 24 || cfg.InitialServers != 480 || cfg.InitialSwitches != 34 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
@@ -134,8 +134,8 @@ func TestArcDefaultsApplied(t *testing.T) {
 }
 
 func TestArcDeterministic(t *testing.T) {
-	a := JellyfishArc(smallArcConfig())
-	b := JellyfishArc(smallArcConfig())
+	a := jellyfishArc(smallArcConfig())
+	b := jellyfishArc(smallArcConfig())
 	for i := range a {
 		if a[i].NormalizedBisection != b[i].NormalizedBisection || a[i].Switches != b[i].Switches {
 			t.Fatal("same seed produced different arcs")

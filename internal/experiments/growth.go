@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"jellyfish/internal/expansion"
 	"jellyfish/internal/flowsim"
 	"jellyfish/internal/graph"
 	"jellyfish/internal/parallel"
@@ -102,9 +101,9 @@ func Fig6IncrementalVsScratch(opt Options) *Table {
 // stage for Jellyfish expansion vs a LEGUP-like Clos upgrader
 // (substitution per DESIGN.md §8).
 func Fig7LEGUP(opt Options) *Table {
-	cfg := expansion.ArcConfig{Seed: opt.Seed}
+	cfg := arcConfig{Seed: opt.Seed}
 	if opt.Quick {
-		cfg = expansion.ArcConfig{
+		cfg = arcConfig{
 			SwitchPorts:     24,
 			InitialServers:  120,
 			InitialSwitches: 12,
@@ -113,8 +112,8 @@ func Fig7LEGUP(opt Options) *Table {
 			Seed:            opt.Seed,
 		}
 	}
-	jf := expansion.JellyfishArc(cfg)
-	clos := expansion.ClosArc(cfg)
+	jf := jellyfishArc(cfg)
+	cl := closArc(cfg)
 	t := &Table{
 		ID:      "fig7",
 		Title:   "incremental expansion: normalized bisection per budget stage, Jellyfish vs LEGUP-like Clos",
@@ -123,7 +122,7 @@ func Fig7LEGUP(opt Options) *Table {
 	for i := range jf {
 		t.AddRow(jf[i].Index, fmt.Sprintf("%.0f", jf[i].CumulativeCost),
 			jf[i].Servers, jf[i].NormalizedBisection,
-			clos[i].Servers, clos[i].NormalizedBisection)
+			cl[i].Servers, cl[i].NormalizedBisection)
 	}
 	t.Notes = append(t.Notes,
 		"paper: jellyfish reaches LEGUP's final bisection by stage 2 (≈60% cost saving); the drop at the server-adding stage is expected")
