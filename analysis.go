@@ -6,7 +6,6 @@ import (
 
 	"jellyfish/internal/estimate"
 	"jellyfish/internal/flowsim"
-	"jellyfish/internal/metrics"
 	"jellyfish/internal/rng"
 	"jellyfish/internal/routing"
 	"jellyfish/internal/traffic"
@@ -81,7 +80,7 @@ func PacketLevelThroughput(t *Topology, scheme RoutingScheme, proto TransportPro
 	return PacketLevelResult{
 		MeanThroughput:  res.Mean(),
 		FlowThroughputs: res.FlowRate,
-		Fairness:        metrics.JainFairness(res.FlowRate),
+		Fairness:        flowsim.JainFairness(res.FlowRate),
 	}
 }
 

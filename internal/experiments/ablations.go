@@ -7,7 +7,6 @@ import (
 	"jellyfish/internal/capsearch"
 	"jellyfish/internal/flowsim"
 	"jellyfish/internal/mcf"
-	"jellyfish/internal/metrics"
 	"jellyfish/internal/packetsim"
 	"jellyfish/internal/parallel"
 	"jellyfish/internal/rng"
@@ -95,7 +94,7 @@ func AblationOversubscription(opt Options) *Table {
 		}
 		var res mcf.Result
 		res, st = sv.Solve(context.Background(), top.Graph, pat.Commodities(), st)
-		tps[i] = metrics.Clamp01(res.Lambda)
+		tps[i] = res.Throughput()
 	}
 	for i, srv := range srvs {
 		t.AddRow(srv, n*srv, ports-srv, tps[i])
@@ -232,7 +231,7 @@ func AblationSwitchFailures(opt Options) *Table {
 			var res mcf.Result
 			res, st = sv.Solve(context.Background(), top.Graph, pat.Commodities(), st)
 			out.surv[fi] = top.NumServers()
-			out.tp[fi] = metrics.Clamp01(res.Lambda) / float64(trials)
+			out.tp[fi] = res.Throughput() / float64(trials)
 		}
 		return out
 	})
@@ -269,7 +268,7 @@ func AblationAllToAll(opt Options) *Table {
 	eval := func(top *topology.Topology) float64 {
 		comms := traffic.AllToAll(top.ServerSwitches())
 		res := mcf.MaxConcurrentFlow(context.Background(), top.Graph, comms, mcf.Options{Workers: w})
-		return metrics.Clamp01(res.Lambda)
+		return res.Throughput()
 	}
 	tps := parallel.Map(w, 2, func(i int) float64 {
 		if i == 0 {
@@ -384,7 +383,7 @@ func AblationHotspot(opt Options) *Table {
 			}
 			var res mcf.Result
 			res, st = sv.Solve(context.Background(), top.Graph, pat.Commodities(), st)
-			out[fi] = metrics.Clamp01(res.Lambda) / float64(trials)
+			out[fi] = res.Throughput() / float64(trials)
 		}
 		return out
 	})

@@ -7,7 +7,6 @@ import (
 	"jellyfish/internal/capsearch"
 	"jellyfish/internal/estimate"
 	"jellyfish/internal/mcf"
-	"jellyfish/internal/metrics"
 	"jellyfish/internal/parallel"
 	"jellyfish/internal/rng"
 	"jellyfish/internal/topology"
@@ -19,7 +18,7 @@ import (
 func mcfThroughput(t *topology.Topology, src *rng.Source, workers int) float64 {
 	pat := traffic.RandomPermutation(t.ServerSwitches(), src)
 	res := mcf.MaxConcurrentFlow(context.Background(), t.Graph, pat.Commodities(), mcf.Options{Workers: workers})
-	return metrics.Clamp01(res.Lambda)
+	return res.Throughput()
 }
 
 // meanMCFThroughput averages mcfThroughput over trials, fanning the

@@ -394,3 +394,34 @@ func TestAblationHotspotQuick(t *testing.T) {
 		t.Fatalf("hotspot collapsed throughput: %v", last)
 	}
 }
+
+func TestSummarize(t *testing.T) {
+	s := summarize([]float64{3, 1, 2})
+	if s.Mean != 2 || s.Min != 1 || s.Max != 3 {
+		t.Fatalf("summary = %+v", s)
+	}
+	if z := summarize(nil); z != (summary{}) {
+		t.Fatalf("empty summary = %+v", z)
+	}
+}
+
+func TestPercentile(t *testing.T) {
+	xs := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+	if p := percentile(xs, 50); p != 50 {
+		t.Fatalf("P50 = %v, want 50", p)
+	}
+	if p := percentile(xs, 100); p != 100 {
+		t.Fatalf("P100 = %v, want 100", p)
+	}
+	if p := percentile(xs, 1); p != 10 {
+		t.Fatalf("P1 = %v, want 10", p)
+	}
+	if percentile(nil, 50) != 0 {
+		t.Fatal("empty percentile != 0")
+	}
+	// The rank is taken over a sorted copy; the sample keeps its order.
+	in := []float64{3, 1, 2}
+	if p := percentile(in, 1); p != 1 || in[0] != 3 || in[1] != 1 || in[2] != 2 {
+		t.Fatalf("P1 = %v over %v, want 1 over [3 1 2]", p, in)
+	}
+}

@@ -3,10 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
+	"sort"
 
 	"jellyfish/internal/capsearch"
 	"jellyfish/internal/flowsim"
-	"jellyfish/internal/metrics"
 	"jellyfish/internal/parallel"
 	"jellyfish/internal/placement"
 	"jellyfish/internal/rng"
@@ -347,7 +348,7 @@ func Fig12Stability(opt Options) *Table {
 	})
 	for i, k := range ks {
 		s := series[i]
-		fs, js := metrics.Summarize(s.ftv), metrics.Summarize(s.jfv)
+		fs, js := summarize(s.ftv), summarize(s.jfv)
 		t.AddRow(k, "fattree", s.ftServers, fs.Mean, fs.Min, fs.Max)
 		t.AddRow(k, "jellyfish", s.jfServers, js.Mean, js.Min, js.Max)
 	}
@@ -382,11 +383,48 @@ func Fig13Fairness(opt Options) *Table {
 	}
 	for _, pct := range []float64{1, 5, 10, 25, 50, 75, 90, 99} {
 		t.AddRow(fmt.Sprintf("p%.0f", pct),
-			metrics.Percentile(ftRates, pct), metrics.Percentile(jfRates, pct))
+			percentile(ftRates, pct), percentile(jfRates, pct))
 	}
-	t.AddRow("jain", metrics.JainFairness(ftRates), metrics.JainFairness(jfRates))
+	t.AddRow("jain", flowsim.JainFairness(ftRates), flowsim.JainFairness(jfRates))
 	t.Notes = append(t.Notes, "paper: Jain's index 0.991 (fat-tree) vs 0.988 (jellyfish) — both ≈99% fair")
 	return t
+}
+
+// summary holds the average / minimum / maximum of a sample, the shape
+// reported by the paper's stability plot (Fig. 12).
+type summary struct{ Mean, Min, Max float64 }
+
+// summarize computes a summary. Empty input yields the zero summary.
+func summarize(xs []float64) summary {
+	if len(xs) == 0 {
+		return summary{}
+	}
+	s := summary{Min: math.Inf(1), Max: math.Inf(-1)}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+		if x < s.Min {
+			s.Min = x
+		}
+		if x > s.Max {
+			s.Max = x
+		}
+	}
+	s.Mean = sum / float64(len(xs))
+	return s
+}
+
+// percentile returns the p-th percentile (0..100) of the sample by nearest
+// rank over an ascending copy, the x-axis order of Fig. 13's rank plot.
+// Empty input returns 0.
+func percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // Fig14Locality reproduces Fig. 14: throughput of 2-layer

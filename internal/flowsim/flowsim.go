@@ -113,6 +113,35 @@ func (r Result) Mean() float64 {
 	return sum / float64(len(r.FlowRate))
 }
 
+// JainFairness returns Jain's fairness index (Σx)²/(n·Σx²) over the given
+// nonnegative rates; 1 means perfectly fair. Returns 1 for empty input.
+func JainFairness(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 1
+	}
+	// The index is scale-invariant; normalize by the maximum to avoid
+	// overflow on extreme inputs.
+	max := 0.0
+	for _, x := range xs {
+		if x > max {
+			max = x
+		}
+	}
+	if max == 0 {
+		return 1
+	}
+	var sum, sumSq float64
+	for _, x := range xs {
+		v := x / max
+		sum += v
+		sumSq += v * v
+	}
+	if sumSq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(xs)) * sumSq)
+}
+
 const satEps = 1e-12
 
 // A Sim is a compiled, reusable simulator instance. It owns a resource

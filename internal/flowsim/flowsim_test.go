@@ -3,6 +3,7 @@ package flowsim
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"jellyfish/internal/graph"
 	"jellyfish/internal/rng"
@@ -239,5 +240,49 @@ func TestCoupledIgnoresUselessLongPath(t *testing.T) {
 	res := new(Sim).Simulate(flows, table, MPTCP8, rng.New(33))
 	if res.FlowRate[0] < 1-1e-9 {
 		t.Fatalf("coupled flow got %v, want full rate via its clean direct path", res.FlowRate[0])
+	}
+}
+
+func TestJainFairnessEqual(t *testing.T) {
+	if f := JainFairness([]float64{5, 5, 5, 5}); f != 1 {
+		t.Fatalf("fairness = %v, want 1", f)
+	}
+}
+
+func TestJainFairnessSkewed(t *testing.T) {
+	// One user gets everything: index = 1/n.
+	f := JainFairness([]float64{1, 0, 0, 0})
+	if math.Abs(f-0.25) > 1e-12 {
+		t.Fatalf("fairness = %v, want 0.25", f)
+	}
+}
+
+func TestJainFairnessEmptyAndZero(t *testing.T) {
+	if JainFairness(nil) != 1 {
+		t.Fatal("empty fairness != 1")
+	}
+	if JainFairness([]float64{0, 0}) != 1 {
+		t.Fatal("all-zero fairness != 1")
+	}
+}
+
+func TestJainFairnessBounds(t *testing.T) {
+	f := func(xs []float64) bool {
+		for i, x := range xs {
+			if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+				xs[i] = math.Abs(math.Mod(x, 100))
+				if math.IsNaN(xs[i]) || math.IsInf(xs[i], 0) {
+					xs[i] = 1
+				}
+			}
+		}
+		j := JainFairness(xs)
+		if len(xs) == 0 {
+			return j == 1
+		}
+		return j >= 1/float64(len(xs))-1e-9 && j <= 1+1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -96,6 +96,19 @@ type Result struct {
 	Edges []graph.Edge
 }
 
+// Throughput returns Lambda clamped into [0,1]: the normalized per-server
+// throughput. λ can exceed 1 on an overprovisioned network (and is +Inf
+// with no effective commodities), but a server cannot exceed its NIC rate.
+func (r Result) Throughput() float64 {
+	if r.Lambda < 0 {
+		return 0
+	}
+	if r.Lambda > 1 {
+		return 1
+	}
+	return r.Lambda
+}
+
 // MaxConcurrentFlow computes the maximum concurrent flow for the given
 // commodities over the switch graph g. Commodities with Src == Dst or
 // Demand <= 0 are ignored (they consume no network capacity). If there are

@@ -492,3 +492,13 @@ func TestWorkerCountInvariance(t *testing.T) {
 		}
 	}
 }
+
+func TestResultThroughput(t *testing.T) {
+	for _, tc := range []struct{ lambda, want float64 }{
+		{-0.5, 0}, {0, 0}, {0.7, 0.7}, {1, 1}, {1.3, 1}, {math.Inf(1), 1},
+	} {
+		if got := (Result{Lambda: tc.lambda}).Throughput(); got != tc.want {
+			t.Fatalf("Throughput at λ=%v = %v, want %v", tc.lambda, got, tc.want)
+		}
+	}
+}

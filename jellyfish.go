@@ -94,7 +94,6 @@ import (
 	"jellyfish/internal/estimate"
 	"jellyfish/internal/graph"
 	"jellyfish/internal/mcf"
-	"jellyfish/internal/metrics"
 	"jellyfish/internal/parallel"
 	"jellyfish/internal/rng"
 	"jellyfish/internal/topology"
@@ -227,7 +226,7 @@ func OptimalThroughputContext(ctx context.Context, t *Topology, seed uint64, wor
 	src := rng.New(seed)
 	pat := traffic.RandomPermutation(t.ServerSwitches(), src.Split("traffic"))
 	res := mcf.MaxConcurrentFlow(ctx, t.Graph, pat.Commodities(), mcf.Options{Workers: firstOrZero(workers)})
-	return metrics.Clamp01(res.Lambda)
+	return res.Throughput()
 }
 
 // EstimateThroughput brackets OptimalThroughput's answer with a bounded
@@ -260,7 +259,19 @@ func EstimateThroughputContext(ctx context.Context, t *Topology, estimator strin
 	src := rng.New(seed)
 	pat := traffic.RandomPermutation(t.ServerSwitches(), src.Split("traffic"))
 	b := est.Estimate(ctx, t.Compact(), pat.Commodities())
-	return metrics.Clamp01(b.Lower), metrics.Clamp01(b.Upper), nil
+	return clamp01(b.Lower), clamp01(b.Upper), nil
+}
+
+// clamp01 clamps a normalized throughput bound into [0,1]: a server
+// cannot exceed its NIC rate.
+func clamp01(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	if x > 1 {
+		return 1
+	}
+	return x
 }
 
 // SupportsFullThroughput reports whether the topology can serve trials

@@ -328,3 +328,13 @@ func TestUnknownRoutingSchemePanics(t *testing.T) {
 		}()
 	}
 }
+
+func TestClamp01(t *testing.T) {
+	for _, tc := range []struct{ in, want float64 }{
+		{-0.5, 0}, {0, 0}, {0.7, 0.7}, {1, 1}, {1.3, 1},
+	} {
+		if got := clamp01(tc.in); got != tc.want {
+			t.Fatalf("clamp01(%v) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 
 	"jellyfish/internal/graph"
 	"jellyfish/internal/mcf"
-	"jellyfish/internal/metrics"
 	"jellyfish/internal/placement"
 	"jellyfish/internal/rng"
 	"jellyfish/internal/topology"
@@ -130,7 +129,7 @@ func (e *WhatIfEvaluator) OptimalThroughputContext(ctx context.Context, t *Topol
 	pat := traffic.RandomPermutation(e.srv, rng.New(seed).Split("traffic"))
 	var res mcf.Result
 	res, e.st = e.sv.Solve(ctx, t.Graph, pat.Commodities(), e.st)
-	return metrics.Clamp01(res.Lambda)
+	return res.Throughput()
 }
 
 // Reset drops the carried solver state, forcing the next evaluation to
