@@ -25,7 +25,7 @@ type costModel struct {
 	RewireCost float64 // dollars per existing cable moved or removed
 }
 
-// defaultCostModel returns the cost model used by the Fig. 7 reproduction.
+// defaultCostModel returns the cost model charged to both designs.
 func defaultCostModel() costModel {
 	return costModel{PortCost: 100, CableCost: 60, RewireCost: 30}
 }
@@ -43,17 +43,19 @@ type stage struct {
 	NormalizedBisection float64
 }
 
+// serversAddedStage is the stage that adds arcConfig.ServersAdded servers;
+// every other stage adds only switches.
+const serversAddedStage = 1
+
 // arcConfig describes the Fig. 7 scenario: an initial network, one stage
 // that adds servers, then switch-only stages, all under per-stage budgets.
 type arcConfig struct {
-	SwitchPorts       int // port count of every switch (default 24)
-	InitialServers    int // default 480
-	InitialSwitches   int // default 34
-	StageBudgets      []float64
-	ServersAddedStage int // stage index that adds servers (default 1)
-	ServersAdded      int // default 240
-	Seed              uint64
-	Cost              costModel
+	SwitchPorts     int // port count of every switch (default 24)
+	InitialServers  int // default 480
+	InitialSwitches int // default 34
+	StageBudgets    []float64
+	ServersAdded    int // default 240
+	Seed            uint64
 }
 
 func (c arcConfig) withDefaults() arcConfig {
@@ -72,12 +74,6 @@ func (c arcConfig) withDefaults() arcConfig {
 	if c.ServersAdded == 0 {
 		c.ServersAdded = 240
 	}
-	if c.ServersAddedStage == 0 {
-		c.ServersAddedStage = 1
-	}
-	if c.Cost == (costModel{}) {
-		c.Cost = defaultCostModel()
-	}
 	return c
 }
 
@@ -88,7 +84,7 @@ func (c arcConfig) withDefaults() arcConfig {
 func jellyfishArc(cfg arcConfig) []stage {
 	cfg = cfg.withDefaults()
 	src := rng.New(cfg.Seed).Split("jellyfish-arc")
-	k := cfg.SwitchPorts
+	k, cost := cfg.SwitchPorts, defaultCostModel()
 
 	perSwitch := (cfg.InitialServers + cfg.InitialSwitches - 1) / cfg.InitialSwitches
 	ports := make([]int, cfg.InitialSwitches)
@@ -102,7 +98,7 @@ func jellyfishArc(cfg arcConfig) []stage {
 	top := topology.JellyfishHeterogeneous(ports, servers, src.Split("initial"))
 
 	stages := make([]stage, 0, len(cfg.StageBudgets)+1)
-	cumulative := initialCost(top, cfg.Cost)
+	cumulative := initialCost(top, cost)
 	stages = append(stages, stage{
 		Index: 0, Spent: cumulative, CumulativeCost: cumulative,
 		Servers: top.NumServers(), Switches: top.NumSwitches(),
@@ -115,7 +111,7 @@ func jellyfishArc(cfg arcConfig) []stage {
 		// cables, and r/2 removed cables' labor.
 		r := k // network degree for a server-free switch
 		serversThisStage := 0
-		if si+1 == cfg.ServersAddedStage {
+		if si+1 == serversAddedStage {
 			serversThisStage = cfg.ServersAdded
 		}
 		newSwitches := 0
@@ -126,10 +122,10 @@ func jellyfishArc(cfg arcConfig) []stage {
 				sv = min(perSwitch, serversThisStage)
 				deg = k - sv
 			}
-			unit := cfg.Cost.SwitchCost(k) +
-				float64(deg)*cfg.Cost.CableCost +
-				float64(deg/2)*cfg.Cost.RewireCost +
-				float64(sv)*cfg.Cost.CableCost // server cables
+			unit := cost.SwitchCost(k) +
+				float64(deg)*cost.CableCost +
+				float64(deg/2)*cost.RewireCost +
+				float64(sv)*cost.CableCost // server cables
 			// Server racks are mandatory purchases (the scenario fixes the
 			// server count per stage for both designs); pure network
 			// capacity stops at the budget.
@@ -159,12 +155,12 @@ func jellyfishArc(cfg arcConfig) []stage {
 // re-spread ToR uplinks evenly whenever the aggregation layer grows.
 func closArc(cfg arcConfig) []stage {
 	cfg = cfg.withDefaults()
-	k := cfg.SwitchPorts
+	k, cost := cfg.SwitchPorts, defaultCostModel()
 
 	c := newClos(cfg, k)
 	stages := make([]stage, 0, len(cfg.StageBudgets)+1)
 	top := c.build()
-	cumulative := initialCost(top, cfg.Cost)
+	cumulative := initialCost(top, cost)
 	stages = append(stages, stage{
 		Index: 0, Spent: cumulative, CumulativeCost: cumulative,
 		Servers: top.NumServers(), Switches: top.NumSwitches(),
@@ -173,17 +169,17 @@ func closArc(cfg arcConfig) []stage {
 
 	for si, budget := range cfg.StageBudgets {
 		spent := 0.0
-		if si+1 == cfg.ServersAddedStage {
-			spent += c.addServers(cfg.ServersAdded, cfg.Cost)
+		if si+1 == serversAddedStage {
+			spent += c.addServers(cfg.ServersAdded, cost)
 		}
 		// Buy aggregation switches with the remaining budget. Each new agg
 		// switch requires re-spreading every ToR's uplinks (rewiring cost
 		// proportional to the uplinks moved) — the structural tax of Clos.
 		for {
 			moved := c.uplinksMovedByAggGrowth()
-			unit := cfg.Cost.SwitchCost(k) +
-				float64(c.newCablesForAgg())*cfg.Cost.CableCost +
-				float64(moved)*cfg.Cost.RewireCost
+			unit := cost.SwitchCost(k) +
+				float64(c.newCablesForAgg())*cost.CableCost +
+				float64(moved)*cost.RewireCost
 			if spent+unit > budget {
 				break
 			}

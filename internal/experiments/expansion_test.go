@@ -54,7 +54,7 @@ func TestJellyfishArcBudgetsRespected(t *testing.T) {
 	cfg := smallArcConfig().withDefaults()
 	stages := jellyfishArc(cfg)
 	for i, s := range stages[1:] {
-		if i+1 == cfg.ServersAddedStage {
+		if i+1 == serversAddedStage {
 			continue
 		}
 		if s.Spent > cfg.StageBudgets[i]+1e-9 {
@@ -92,7 +92,7 @@ func TestClosArcBudgetsRespected(t *testing.T) {
 	cfg := smallArcConfig().withDefaults()
 	stages := closArc(cfg)
 	for i, s := range stages[1:] {
-		if i+1 == cfg.ServersAddedStage {
+		if i+1 == serversAddedStage {
 			continue // mandatory server purchase
 		}
 		if s.Spent > cfg.StageBudgets[i]+1e-9 {

@@ -37,6 +37,9 @@
 // way: callers pin results under split streams, so introducing randomness
 // into the coupled model would silently shift every derived stream.
 // MPTCP8 callers may pass src = nil (TestMPTCPIgnoresSource pins this).
+//
+// JainFairness is Jain's index over a trial's per-flow rates, the
+// fairness number of Fig. 13 and of the root PacketLevelResult.
 package flowsim
 
 import (
@@ -121,18 +124,18 @@ func JainFairness(xs []float64) float64 {
 	}
 	// The index is scale-invariant; normalize by the maximum to avoid
 	// overflow on extreme inputs.
-	max := 0.0
+	peak := 0.0
 	for _, x := range xs {
-		if x > max {
-			max = x
+		if x > peak {
+			peak = x
 		}
 	}
-	if max == 0 {
+	if peak == 0 {
 		return 1
 	}
 	var sum, sumSq float64
 	for _, x := range xs {
-		v := x / max
+		v := x / peak
 		sum += v
 		sumSq += v * v
 	}
