@@ -3,6 +3,10 @@
 // the same series the paper plots; cmd/experiments prints them and
 // bench_test.go wraps them as benchmarks. DESIGN.md §3 maps experiment IDs
 // to the modules involved.
+//
+// What only the figures use lives here too: the Jellyfish and LEGUP-like
+// Clos expansion arcs of Fig. 7 (expansion.go; DESIGN.md §8 has the LEGUP
+// substitution) and the summary and percentile helpers of Figs. 12-13.
 package experiments
 
 import (

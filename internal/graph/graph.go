@@ -1,7 +1,8 @@
 // Package graph implements the undirected simple-graph substrate that every
 // topology in this repository is built on: adjacency storage with O(log d)
 // membership tests, breadth-first shortest paths, all-pairs path statistics,
-// connectivity, and Yen's loopless k-shortest-paths algorithm.
+// connectivity, global edge connectivity (EdgeConnectivity, by unit-capacity
+// augmenting paths over the CSR snapshot), and loopless k-shortest paths.
 //
 // Vertices are dense integers 0..N-1 (switch IDs). Graphs are simple
 // (no self-loops, no parallel edges), matching the Jellyfish construction
