@@ -419,9 +419,16 @@ func TestPercentile(t *testing.T) {
 	if percentile(nil, 50) != 0 {
 		t.Fatal("empty percentile != 0")
 	}
-	// The rank is taken over a sorted copy; the sample keeps its order.
+}
+
+// TestRankAscendingDoesNotMutate checks that percentile ranks over a sorted
+// copy: the sample keeps its order.
+func TestRankAscendingDoesNotMutate(t *testing.T) {
 	in := []float64{3, 1, 2}
 	if p := percentile(in, 1); p != 1 || in[0] != 3 || in[1] != 1 || in[2] != 2 {
 		t.Fatalf("P1 = %v over %v, want 1 over [3 1 2]", p, in)
+	}
+	if p := percentile(in, 100); p != 3 || in[0] != 3 {
+		t.Fatalf("P100 = %v over %v, want 3 over [3 1 2]", p, in)
 	}
 }
