@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -128,21 +129,37 @@ func randomConnectedGraph(n, extraEdges int, r *rand.Rand) *Graph {
 
 // checkEngineAgainstReference drives one engine across pairs (each with
 // its own k) on g and requires the reference algorithm's paths, byte for
-// byte and in order.
+// byte and in order, from both Paths and its Yen fallback.
 func checkEngineAgainstReference(t *testing.T, g *Graph, pairs [][3]int) {
 	t.Helper()
 	eng := NewKSPEngine(g)
 	for _, p := range pairs {
 		src, dst, k := p[0], p[1], p[2]
 		want := kShortestPathsReference(g, src, dst, k)
-		got := eng.Paths(src, dst, k)
-		if len(got) != len(want) {
-			t.Fatalf("n=%d %d->%d k=%d: %d paths, want %d", g.N(), src, dst, k, len(got), len(want))
+		checkPaths(t, fmt.Sprintf("n=%d %d->%d k=%d: Paths", g.N(), src, dst, k), eng.Paths(src, dst, k), want)
+		if k > 0 {
+			checkPaths(t, fmt.Sprintf("n=%d %d->%d k=%d: yen", g.N(), src, dst, k), yenPaths(eng, src, dst, k), want)
 		}
-		for i := range got {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("n=%d %d->%d k=%d: path %d = %v, want %v", g.N(), src, dst, k, i, got[i], want[i])
-			}
+	}
+}
+
+// yenPaths runs Paths' fallback directly on a fresh snapshot, so that the
+// oracles check Yen on every input, not only where the label stage runs
+// out of budget.
+func yenPaths(e *KSPEngine, src, dst, k int) []Path {
+	e.csr = e.g.CSR()
+	e.ensure()
+	return e.yen(src, dst, k)
+}
+
+func checkPaths(t *testing.T, what string, got, want []Path) {
+	t.Helper()
+	if len(got) != len(want) || (len(want) == 0) != (got == nil) {
+		t.Fatalf("%s: %v, want %v", what, got, want)
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s: path %d = %v, want %v", what, i, got[i], want[i])
 		}
 	}
 }
@@ -311,45 +328,6 @@ func TestKSPEngineSeesMutations(t *testing.T) {
 	for i := range got {
 		if !got[i].Equal(want[i]) {
 			t.Fatalf("after mutation path %d: %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// The label stage's budget is what bounds it: on a clique hanging off
-// the source, where pruning on labels alone explores exponentially many
-// dead ends, the budget runs out and Yen answers (the paths themselves
-// are checked in TestKSPEngineMatchesReferenceGenerated); on random
-// regular graphs of Table 1's size at k = 8 it never does.
-func TestKSPLabelBudget(t *testing.T) {
-	// Vertex 0 joins a 12-clique (1..12) and a 3-hop chain to 15, its one
-	// simple path there.
-	const c = 12
-	const dst = c + 3
-	g := New(dst + 1)
-	for u := 1; u <= c; u++ {
-		g.AddEdge(0, u)
-		for v := u + 1; v <= c; v++ {
-			g.AddEdge(u, v)
-		}
-	}
-	g.AddEdge(0, c+1)
-	g.AddEdge(c+1, c+2)
-	g.AddEdge(c+2, dst)
-	eng := NewKSPEngine(g)
-	if got := eng.Paths(0, dst, 2); len(got) != 1 || eng.budget >= 0 {
-		t.Fatalf("clique: %d paths with %d of the budget left, want 1 path from Yen after the budget ran out", len(got), eng.budget)
-	}
-
-	r := rand.New(rand.NewSource(5))
-	g = randomRegularGraph(245, 11, r)
-	eng = NewKSPEngine(g)
-	for i := 0; i < 200; i++ {
-		src, dst := r.Intn(g.N()), r.Intn(g.N())
-		if src == dst {
-			continue
-		}
-		if eng.Paths(src, dst, 8); eng.budget < 0 {
-			t.Fatalf("rrg245 %d->%d: label stage ran out of budget", src, dst)
 		}
 	}
 }

@@ -1,13 +1,17 @@
 package graph
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // FuzzKShortest checks KSPEngine.Paths against the first k of the
 // exhaustive enumeration on graphs of at most 9 vertices, whose edges
 // are the bits of one word. One engine answers src→dst, dst→src and
 // src→dst again, so kept labels are reused and replaced. Small k and
 // sparse graphs end in the label stage; large k on dense graphs runs its
-// budget out and ends in Yen.
+// budget out and ends in Yen. The same engine also runs Yen directly on
+// every input.
 func FuzzKShortest(f *testing.F) {
 	f.Add(uint8(4), uint64(0b111111), uint8(0), uint8(3), uint8(2))      // K4
 	f.Add(uint8(6), uint64(0x5a5a5), uint8(0), uint8(5), uint8(7))       // sparse
@@ -31,15 +35,9 @@ func FuzzKShortest(f *testing.F) {
 		for _, p := range [][2]int{{s, d}, {d, s}, {s, d}} {
 			want := bruteLooplessPaths(g, p[0], p[1])
 			want = want[:min(len(want), kk)]
-			got := eng.Paths(p[0], p[1], kk)
-			if len(got) != len(want) || (len(want) == 0) != (got == nil) {
-				t.Fatalf("n=%d edges=%#x %d->%d k=%d: %v, want %v", nv, edges, p[0], p[1], kk, got, want)
-			}
-			for i := range got {
-				if !got[i].Equal(want[i]) {
-					t.Fatalf("n=%d edges=%#x %d->%d k=%d: path %d = %v, want %v", nv, edges, p[0], p[1], kk, i, got[i], want[i])
-				}
-			}
+			what := fmt.Sprintf("n=%d edges=%#x %d->%d k=%d", nv, edges, p[0], p[1], kk)
+			checkPaths(t, what+": Paths", eng.Paths(p[0], p[1], kk), want)
+			checkPaths(t, what+": yen", yenPaths(eng, p[0], p[1], kk), want)
 		}
 	})
 }

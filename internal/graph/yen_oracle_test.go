@@ -119,3 +119,48 @@ func TestKSPEngineMatchesReferenceGenerated(t *testing.T) {
 		graph.CheckEngineAgainstReference(t, g, oracleTriples([]routing.Pair{{Src: 0, Dst: dst}, {Src: 1, Dst: dst}, {Src: dst, Dst: 1}}, 1))
 	})
 }
+
+// The label stage's budget is what bounds it: on a clique hanging off
+// the source, where pruning on labels alone explores exponentially many
+// dead ends, the budget runs out and Yen answers (the paths themselves
+// are checked in TestKSPEngineMatchesReferenceGenerated). It never does
+// at k = 8 on random regular graphs of Table 1's size, nor on the
+// Jellyfish designs jfbench's interactive workload plans (50–80
+// switches, 12 ports, degree 8) under a random permutation.
+func TestKSPLabelBudget(t *testing.T) {
+	// Vertex 0 joins a 12-clique (1..12) and a 3-hop chain to 15, its one
+	// simple path there.
+	const c = 12
+	const dst = c + 3
+	g := graph.New(dst + 1)
+	for u := 1; u <= c; u++ {
+		g.AddEdge(0, u)
+		for v := u + 1; v <= c; v++ {
+			g.AddEdge(u, v)
+		}
+	}
+	g.AddEdge(0, c+1)
+	g.AddEdge(c+1, c+2)
+	g.AddEdge(c+2, dst)
+	eng := graph.NewKSPEngine(g)
+	if got := eng.Paths(0, dst, 2); len(got) != 1 || graph.LabelBudgetLeft(eng) >= 0 {
+		t.Fatalf("clique: %d paths with %d of the budget left, want 1 path from Yen after the budget ran out", len(got), graph.LabelBudgetLeft(eng))
+	}
+
+	neverExhausts := func(name string, g *graph.Graph, pairs []routing.Pair) {
+		t.Helper()
+		eng := graph.NewKSPEngine(g)
+		for _, p := range pairs {
+			if eng.Paths(p.Src, p.Dst, 8); graph.LabelBudgetLeft(eng) < 0 {
+				t.Fatalf("%s %d->%d: label stage ran out of budget", name, p.Src, p.Dst)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	neverExhausts("rrg245", graph.RandomRegularGraph(245, 11, r), randomSwitchPairs(245, 200, r))
+	for _, n := range []int{50, 65, 80} {
+		top := topology.Jellyfish(n, 12, 8, rng.New(uint64(n)))
+		pat := traffic.RandomPermutation(top.ServerSwitches(), rng.New(uint64(n)).Split("perm"))
+		neverExhausts(top.Name, top.Graph, routing.PairsForPattern(pat))
+	}
+}
