@@ -19,7 +19,8 @@ const (
 	ECMP8 RoutingScheme = iota
 	// ECMP64 is 64-way ECMP.
 	ECMP64
-	// KSP8 is 8-shortest-path routing via Yen's algorithm.
+	// KSP8 is 8-shortest-path routing: the 8 shortest loopless paths,
+	// read off BFS distance labels, with Yen's algorithm as the fallback.
 	KSP8
 )
 

@@ -234,9 +234,9 @@ func randomRegularGraph(n, d int, r *rand.Rand) *Graph {
 // observable effect: one engine driven across many pairs, many k values,
 // and interleaved sparse/dense graphs must reproduce the reference
 // algorithm byte for byte. The generated families reach every exit of
-// the bidirectional spur search: a frontier running out (disconnected
-// pairs, bridges cut by the root mask), both frontiers running deep
-// (rings, grids), equal-length ties settled by the lexicographic rule
+// the spur search: the queue running out (disconnected pairs, bridges
+// cut by the root mask), searches running deep (rings, grids),
+// equal-length ties settled by the lexicographic rule
 // (complete bipartite graphs, hypercubes, grids), and the Table 1 /
 // Fig. 11 scale (245 switches of network degree 11).
 func TestKSPEngineMatchesReference(t *testing.T) {

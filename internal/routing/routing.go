@@ -1,7 +1,8 @@
 // Package routing builds the forwarding state evaluated in §5 of the paper:
-// ECMP (equal-cost multi-path over shortest paths, 8- or 64-way) and Yen's
-// k-shortest-path routing, plus the per-link distinct-path counts behind
-// Fig. 9's "ECMP is not enough" result.
+// ECMP (equal-cost multi-path over shortest paths, 8- or 64-way) and
+// k-shortest-path routing, whose paths graph.KSPEngine reads off BFS
+// distance labels with a Yen fallback, plus the per-link distinct-path
+// counts behind Fig. 9's "ECMP is not enough" result.
 package routing
 
 import (
