@@ -136,20 +136,5 @@ func (g *Graph) PairsStatsInto(subset []int, sc *PairsScratch) PathStats {
 // Diameter returns the maximum eccentricity over all vertices
 // (ignoring unreachable pairs).
 func (g *Graph) Diameter() int {
-	diam := 0
-	n := g.N()
-	dist := make([]int, n)
-	queue := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		for i := range dist {
-			dist[i] = Unreachable
-		}
-		g.bfsInto(s, dist, queue)
-		for _, d := range dist {
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
+	return g.AllPairsStats().Diameter
 }
