@@ -13,6 +13,8 @@
 // is gated, which keeps shared-runner noise from failing honest pushes.
 // A budgeted benchmark missing from the input is a failure: the gate
 // must not silently pass because a benchmark was renamed or skipped.
+// So is a measurement that is not finite (NaN or ±Inf), in any repeat,
+// and an input line too long to scan.
 //
 // Budgets live in BENCH_mcf.json under "ci_budget":
 //
@@ -55,6 +57,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -109,10 +112,6 @@ func main() {
 	if len(bf.CIBudget.Benchmarks) == 0 {
 		fatal("budget %s has no ci_budget.benchmarks section", *budgetPath)
 	}
-	tol := bf.CIBudget.TolerancePct
-	if tol <= 0 {
-		tol = 15
-	}
 
 	var r io.Reader = os.Stdin
 	if *input != "" {
@@ -123,21 +122,37 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	measured := parseBench(r)
+	measured, err := parseBench(r)
+	if err != nil {
+		fatal("read bench output: %v", err)
+	}
+	if !gate(os.Stdout, &bf, measured) {
+		fmt.Println("benchgate: regression detected")
+		os.Exit(1)
+	}
+	fmt.Println("benchgate: all budgets met")
+}
 
+// gate compares the measured metrics with bf's budgets, printing one line
+// per budgeted metric to w, and reports whether every budget is met.
+func gate(w io.Writer, bf *budgetFile, measured map[string]map[string]float64) bool {
+	tol := bf.CIBudget.TolerancePct
+	if tol <= 0 {
+		tol = 15
+	}
 	names := make([]string, 0, len(bf.CIBudget.Benchmarks))
 	for name := range bf.CIBudget.Benchmarks {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
-	failed := false
+	ok := true
 	for _, name := range names {
 		budget := bf.CIBudget.Benchmarks[name]
-		got, ok := measured[name]
-		if !ok {
-			fmt.Printf("FAIL %s: benchmark missing from input (renamed or skipped?)\n", name)
-			failed = true
+		got, found := measured[name]
+		if !found {
+			fmt.Fprintf(w, "FAIL %s: benchmark missing from input (renamed or skipped?)\n", name)
+			ok = false
 			continue
 		}
 		metrics := make([]string, 0, len(budget))
@@ -148,36 +163,35 @@ func main() {
 		for _, m := range metrics {
 			unit, known := metricUnits[m]
 			if !known {
-				fmt.Printf("FAIL %s: unknown budget metric %q\n", name, m)
-				failed = true
+				fmt.Fprintf(w, "FAIL %s: unknown budget metric %q\n", name, m)
+				ok = false
 				continue
 			}
-			val, ok := got[unit]
-			if !ok {
-				fmt.Printf("FAIL %s: metric %s missing from input (run with -benchmem?)\n", name, unit)
-				failed = true
+			val, found := got[unit]
+			if !found {
+				fmt.Fprintf(w, "FAIL %s: metric %s missing from input (run with -benchmem?)\n", name, unit)
+				ok = false
 				continue
 			}
 			mtol := tol
-			if t, ok := bf.CIBudget.TolerancesPct[m]; ok && t > 0 {
+			if t, found := bf.CIBudget.TolerancesPct[m]; found && t > 0 {
 				mtol = t
 			}
 			limit := budget[m] * (1 + mtol/100)
 			status := "ok  "
-			if val > limit {
+			// NaN compares false with everything, so it is failed by name.
+			if !finite(val) || val > limit {
 				status = "FAIL"
-				failed = true
+				ok = false
 			}
-			fmt.Printf("%s %s %s: %.0f (budget %.0f +%g%% = %.0f)\n",
+			fmt.Fprintf(w, "%s %s %s: %.0f (budget %.0f +%g%% = %.0f)\n",
 				status, name, unit, val, budget[m], mtol, limit)
 		}
 	}
-	if failed {
-		fmt.Println("benchgate: regression detected")
-		os.Exit(1)
-	}
-	fmt.Println("benchgate: all budgets met")
+	return ok
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // parseBench extracts per-benchmark metrics from `go test -bench` output.
 // Lines look like:
@@ -185,8 +199,9 @@ func main() {
 //	BenchmarkMaxConcurrentFlow-4   3   652000000 ns/op   120537 B/op   611 allocs/op
 //
 // The -N GOMAXPROCS suffix is stripped. For repeated measurements the
-// minimum per metric is kept.
-func parseBench(r io.Reader) map[string]map[string]float64 {
+// minimum per metric is kept, except that a value that is not finite
+// sticks, so the gate sees it whatever the order of the repeats.
+func parseBench(r io.Reader) (map[string]map[string]float64, error) {
 	out := map[string]map[string]float64{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -213,12 +228,12 @@ func parseBench(r io.Reader) map[string]map[string]float64 {
 				continue
 			}
 			unit := fields[i+1]
-			if prev, ok := m[unit]; !ok || val < prev {
+			if prev, ok := m[unit]; !ok || !finite(val) || (finite(prev) && val < prev) {
 				m[unit] = val
 			}
 		}
 	}
-	return out
+	return out, sc.Err()
 }
 
 // multicoreSection is the shape written under the budget file's
@@ -242,7 +257,10 @@ func fold(budgetPath, benchPath, note string) error {
 	if err != nil {
 		return fmt.Errorf("read bench file: %w", err)
 	}
-	measured := parseBench(bytes.NewReader(benchRaw))
+	measured, err := parseBench(bytes.NewReader(benchRaw))
+	if err != nil {
+		return fmt.Errorf("read bench file: %w", err)
+	}
 	if len(measured) == 0 {
 		return fmt.Errorf("no benchmark lines found in %s", benchPath)
 	}

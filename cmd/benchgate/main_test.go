@@ -27,9 +27,18 @@ BenchmarkMaxConcurrentFlowParallel-4     3   201000000 ns/op   130001 B/op   702
 PASS
 `
 
+// parse is parseBench on a string, failing the test on a scan error.
+func parse(t testing.TB, bench string) map[string]map[string]float64 {
+	t.Helper()
+	out, err := parseBench(strings.NewReader(bench))
+	if err != nil {
+		t.Fatalf("parseBench: %v", err)
+	}
+	return out
+}
+
 func TestParseBenchKeepsMinimumOfRepeats(t *testing.T) {
-	out := parseBench(strings.NewReader(
-		"BenchmarkX-4 3 500 ns/op 10 allocs/op\nBenchmarkX-4 3 400 ns/op 12 allocs/op\n"))
+	out := parse(t, "BenchmarkX-4 3 500 ns/op 10 allocs/op\nBenchmarkX-4 3 400 ns/op 12 allocs/op\n")
 	m := out["BenchmarkX"]
 	if m == nil {
 		t.Fatalf("BenchmarkX missing: %v", out)
@@ -40,7 +49,7 @@ func TestParseBenchKeepsMinimumOfRepeats(t *testing.T) {
 }
 
 func TestFoldAppendsMulticoreAndPreservesOtherSections(t *testing.T) {
-	measured := parseBench(strings.NewReader(foldBench))
+	measured := parse(t, foldBench)
 	out, err := foldInto([]byte(foldBudget), measured, benchProcs([]byte(foldBench)), "bench-multicore.txt", "test note")
 	if err != nil {
 		t.Fatalf("foldInto: %v", err)
@@ -75,7 +84,7 @@ func TestFoldAppendsMulticoreAndPreservesOtherSections(t *testing.T) {
 }
 
 func TestFoldReplacesExistingMulticoreIdempotently(t *testing.T) {
-	measured := parseBench(strings.NewReader(foldBench))
+	measured := parse(t, foldBench)
 	procs := benchProcs([]byte(foldBench))
 	once, err := foldInto([]byte(foldBudget), measured, procs, "bench-multicore.txt", "")
 	if err != nil {
@@ -96,5 +105,39 @@ func TestFoldReplacesExistingMulticoreIdempotently(t *testing.T) {
 func TestFoldRejectsNonObjectBudget(t *testing.T) {
 	if _, err := foldInto([]byte(`[1, 2]`), map[string]map[string]float64{}, 0, "b.txt", ""); err == nil {
 		t.Fatal("want error for non-object budget, got nil")
+	}
+}
+
+// A line longer than the scanner's 1 MiB buffer is a read error, not a
+// silently truncated input whose benchmarks then read as missing.
+func TestParseBenchReportsOverlongLine(t *testing.T) {
+	in := "BenchmarkX-4 3 500 ns/op\n" + strings.Repeat("x", 1<<20+1) + "\n"
+	if _, err := parseBench(strings.NewReader(in)); err == nil {
+		t.Fatal("want a scan error for a line over 1 MiB, got nil")
+	}
+}
+
+// NaN compares false with every limit, so a gate written as val > limit
+// lets it through; any measurement that is not finite must fail, in any
+// repeat, while a finite one within budget passes.
+func TestGateFailsNonFiniteMeasurement(t *testing.T) {
+	var bf budgetFile
+	bf.CIBudget.Benchmarks = map[string]map[string]float64{"BenchmarkX": {"ns_per_op": 1000}}
+	for _, tc := range []struct {
+		bench string
+		pass  bool
+	}{
+		{"BenchmarkX-4 3 900 ns/op\n", true},
+		{"BenchmarkX-4 3 NaN ns/op\n", false},
+		{"BenchmarkX-4 3 +Inf ns/op\n", false},
+		{"BenchmarkX-4 3 -Inf ns/op\n", false},
+		{"BenchmarkX-4 3 NaN ns/op\nBenchmarkX-4 3 900 ns/op\n", false},
+		{"BenchmarkX-4 3 900 ns/op\nBenchmarkX-4 3 NaN ns/op\n", false},
+		{"BenchmarkX-4 3 -Inf ns/op\nBenchmarkX-4 3 900 ns/op\n", false},
+	} {
+		var out strings.Builder
+		if got := gate(&out, &bf, parse(t, tc.bench)); got != tc.pass {
+			t.Errorf("%q: gate passed = %v, want %v; output:\n%s", tc.bench, got, tc.pass, out.String())
+		}
 	}
 }
