@@ -357,7 +357,10 @@ func foldInto(budget []byte, measured map[string]map[string]float64, procs int, 
 	var buf bytes.Buffer
 	buf.WriteString("{\n")
 	for i, s := range sections {
-		fmt.Fprintf(&buf, "  %q: %s", s.key, s.raw)
+		// A JSON string, not Go's %q: the two escape control characters
+		// differently, and "\x01" is not JSON.
+		key, _ := json.Marshal(s.key) // a string always marshals
+		fmt.Fprintf(&buf, "  %s: %s", key, s.raw)
 		if i < len(sections)-1 {
 			buf.WriteByte(',')
 		}

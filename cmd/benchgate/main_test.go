@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -140,4 +143,68 @@ func TestGateFailsNonFiniteMeasurement(t *testing.T) {
 			t.Errorf("%q: gate passed = %v, want %v; output:\n%s", tc.bench, got, tc.pass, out.String())
 		}
 	}
+}
+
+// FuzzFoldInto checks the budget-file decoder: on any input, foldInto
+// either returns an error or valid JSON whose top-level sections other
+// than "multicore" are the input's, byte for byte and in their order.
+func FuzzFoldInto(f *testing.F) {
+	seed, err := os.ReadFile("../../BENCH_mcf.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(foldBudget))
+	f.Add([]byte(`{"a\u0001": 1, "multicore": {}}`)) // a key Go's %q would quote as invalid JSON
+	measured := parse(f, foldBench)
+	procs := benchProcs([]byte(foldBench))
+	f.Fuzz(func(t *testing.T, budget []byte) {
+		out, err := foldInto(budget, measured, procs, "bench-multicore.txt", "")
+		if err != nil {
+			return
+		}
+		if !json.Valid(out) {
+			t.Fatalf("folded output is not valid JSON:\n%s", out)
+		}
+		in, got := otherSections(t, budget), otherSections(t, out)
+		if len(in) != len(got) {
+			t.Fatalf("%d sections besides multicore in, %d out:\n%s", len(in), len(got), out)
+		}
+		for i := range in {
+			if in[i].key != got[i].key || !bytes.Equal(in[i].raw, got[i].raw) {
+				t.Fatalf("section %d: %q %s in, %q %s out", i, in[i].key, in[i].raw, got[i].key, got[i].raw)
+			}
+		}
+	})
+}
+
+type rawSection struct {
+	key string
+	raw json.RawMessage
+}
+
+// otherSections reads the top-level key/value pairs of a JSON object, in
+// order and with each value's bytes as written, skipping "multicore".
+func otherSections(t *testing.T, data []byte) []rawSection {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if _, err := dec.Token(); err != nil {
+		t.Fatalf("read object: %v", err)
+	}
+	var out []rawSection
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("read key: %v", err)
+		}
+		var s rawSection
+		s.key, _ = tok.(string)
+		if err := dec.Decode(&s.raw); err != nil {
+			t.Fatalf("section %q: %v", s.key, err)
+		}
+		if s.key != "multicore" {
+			out = append(out, s)
+		}
+	}
+	return out
 }
