@@ -146,13 +146,13 @@ func gate(w io.Writer, bf *budgetFile, measured map[string]map[string]float64) b
 	}
 	sort.Strings(names)
 
-	ok := true
+	failed := false
 	for _, name := range names {
 		budget := bf.CIBudget.Benchmarks[name]
-		got, found := measured[name]
-		if !found {
+		got, ok := measured[name]
+		if !ok {
 			fmt.Fprintf(w, "FAIL %s: benchmark missing from input (renamed or skipped?)\n", name)
-			ok = false
+			failed = true
 			continue
 		}
 		metrics := make([]string, 0, len(budget))
@@ -164,17 +164,17 @@ func gate(w io.Writer, bf *budgetFile, measured map[string]map[string]float64) b
 			unit, known := metricUnits[m]
 			if !known {
 				fmt.Fprintf(w, "FAIL %s: unknown budget metric %q\n", name, m)
-				ok = false
+				failed = true
 				continue
 			}
-			val, found := got[unit]
-			if !found {
+			val, ok := got[unit]
+			if !ok {
 				fmt.Fprintf(w, "FAIL %s: metric %s missing from input (run with -benchmem?)\n", name, unit)
-				ok = false
+				failed = true
 				continue
 			}
 			mtol := tol
-			if t, found := bf.CIBudget.TolerancesPct[m]; found && t > 0 {
+			if t, ok := bf.CIBudget.TolerancesPct[m]; ok && t > 0 {
 				mtol = t
 			}
 			limit := budget[m] * (1 + mtol/100)
@@ -182,13 +182,13 @@ func gate(w io.Writer, bf *budgetFile, measured map[string]map[string]float64) b
 			// NaN compares false with everything, so it is failed by name.
 			if !finite(val) || val > limit {
 				status = "FAIL"
-				ok = false
+				failed = true
 			}
 			fmt.Fprintf(w, "%s %s %s: %.0f (budget %.0f +%g%% = %.0f)\n",
 				status, name, unit, val, budget[m], mtol, limit)
 		}
 	}
-	return ok
+	return !failed
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
