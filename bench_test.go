@@ -196,26 +196,22 @@ func BenchmarkMaxConcurrentFlowParallel(b *testing.B) { benchMaxConcurrentFlow(b
 //
 // The Fig. 2(c)-style binary search at k=8 scale (125 switches), the
 // workload the incremental solving layer (DESIGN.md §9) was built for.
-// Three rungs: the PR 2 cold-start baseline (from-scratch topology per
-// probe, uniform permutations, package-level solver), the incremental
-// pipeline with warm-start threading disabled (same instances, cold
-// seeding), and the full warm-started search. The measured trajectory is
-// recorded in BENCH_mcf.json; the acceptance bar is ≥2× PR2 → Warm.
+// Two rungs: the PR 2 cold-start baseline (from-scratch topology per
+// probe, uniform permutations, package-level solver) and the
+// warm-started search. The measured trajectory is recorded in
+// BENCH_mcf.json; the acceptance bar is ≥2× PR2 → Warm.
 
 const benchSearchK = 8
 
-func benchMaxServersSearch(b *testing.B, cold bool) {
+func BenchmarkMaxServersSearchWarm(b *testing.B) {
 	k := benchSearchK
 	switches := 5 * k * k / 4
 	var res int
 	for i := 0; i < b.N; i++ {
-		res, _ = CapacitySearch{Switches: switches, Ports: k, Trials: 3, Seed: 13, ColdStart: cold}.Run()
+		res, _ = CapacitySearch{Switches: switches, Ports: k, Trials: 3, Seed: 13}.Run()
 	}
 	b.ReportMetric(float64(res), "servers")
 }
-
-func BenchmarkMaxServersSearchWarm(b *testing.B) { benchMaxServersSearch(b, false) }
-func BenchmarkMaxServersSearchCold(b *testing.B) { benchMaxServersSearch(b, true) }
 
 // BenchmarkMaxServersSearchPR2 replicates the pre-warm-start
 // MaxServersAtFullThroughput code path: a fresh SpreadServers build and
@@ -420,27 +416,4 @@ func BenchmarkAblationPacketVsFluid(b *testing.B) {
 
 func BenchmarkAblationHotspot(b *testing.B) {
 	benchExperiment(b, "ablation-hotspot", "tp_hot40", 1)
-}
-
-// ---- warm-vs-cold sweep benchmarks ----
-//
-// The mcf-driven sweeps thread warm solver state between adjacent points
-// (same instances either way; Options.ColdStart flips seeding only).
-// These pairs keep the sweep-side warm-start win measurable in CI.
-
-func benchExperimentCold(b *testing.B, id string) {
-	opt := benchOpt
-	opt.ColdStart = true
-	run := experiments.Lookup(id)
-	for i := 0; i < b.N; i++ {
-		run(opt)
-	}
-}
-
-func BenchmarkAblationHotspotCold(b *testing.B) { benchExperimentCold(b, "ablation-hotspot") }
-func BenchmarkAblationSwitchFailuresCold(b *testing.B) {
-	benchExperimentCold(b, "ablation-switch-failures")
-}
-func BenchmarkAblationOversubscriptionCold(b *testing.B) {
-	benchExperimentCold(b, "ablation-oversubscription")
 }

@@ -109,54 +109,50 @@ func TestMaxServersWorkerInvariance(t *testing.T) {
 	}
 }
 
-// Cold mode must probe exactly the same instances (same topologies, same
-// traffic streams) as warm mode — the flag may only change solver
-// seeding — and the two searches must agree within the solver's
-// approximation tolerance.
+// Warm-start threading may change only how each probe's solve is seeded:
+// every probe must solve the instance its (servers, trial) position names
+// (Family.At(servers), permutation from Traffic.SplitN("trial", trial)),
+// so re-solving that instance from scratch with mcf's nil-warm handle
+// API gives a λ within the certificate tolerance, and a search that
+// answers every probe from scratch agrees with the warm search within
+// the solver's approximation at the boundary.
 func TestWarmVsColdSameInstancesAndAgreement(t *testing.T) {
+	const minServers, maxServers, trials, slack = 20, 20 * 7, 2, 0.03
 	type probe struct {
 		servers, trial int
 	}
-	record := func(cold bool) (int, map[probe]float64) {
-		seen := map[probe]float64{}
-		debugProbe = func(servers, trial int, ok bool, st *mcf.State) {
-			seen[probe{servers, trial}] = st.Lambda
-		}
-		defer func() { debugProbe = nil }()
-		res, err := MaxServers(context.Background(), Config{
-			Lo: 20, Hi: 20 * 7,
-			Family:  testFamily(20, 8, 11),
-			Traffic: rng.New(77),
-			Trials:  2, Slack: 0.03, Workers: 1, Cold: cold,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, seen
+	fam := testFamily(20, 8, 11)
+	traffic := rng.New(77)
+	warmSeen := map[probe]float64{}
+	debugProbe = func(servers, trial int, ok bool, st *mcf.State) {
+		warmSeen[probe{servers, trial}] = st.Lambda
 	}
-	coldRes, coldSeen := record(true)
-	warmRes, warmSeen := record(false)
+	defer func() { debugProbe = nil }()
+	warmRes, err := MaxServers(context.Background(), Config{
+		Lo: minServers, Hi: maxServers,
+		Family:  fam,
+		Traffic: traffic,
+		Trials:  trials, Slack: slack, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warmSeen) == 0 {
+		t.Fatal("the warm search recorded no probes")
+	}
 
-	// Agreement: the searches may disagree only by the solver's
-	// approximation at the boundary (a few percent of the answer).
-	diff := coldRes - warmRes
-	if diff < 0 {
-		diff = -diff
+	// The from-scratch reference: one fresh handle and a nil warm state
+	// per solve, so no probe can see another's lengths.
+	coldSolve := func(servers, trial int) (bool, float64) {
+		comms := cycleCommodities(fam.Assign(servers), traffic.SplitN("trial", trial))
+		ok, st := mcf.NewSolver(mcf.Options{Workers: 1}).FeasibleAtFull(context.Background(), fam.At(servers).Graph, comms, slack, nil)
+		return ok, st.Lambda
 	}
-	if float64(diff) > 0.05*float64(coldRes)+2 {
-		t.Fatalf("warm result %d and cold result %d disagree beyond the approximation guarantee", warmRes, coldRes)
-	}
-	// Instance identity: for every probe position both modes executed,
-	// both solved the same instance — λ values may differ only within
-	// the certificate tolerance, and never reflect different traffic
-	// (a stream divergence would produce unrelated λ).
-	common := 0
-	for k, coldLam := range coldSeen {
-		warmLam, ok := warmSeen[k]
-		if !ok {
-			continue
-		}
-		common++
+	// Instance identity: λ values may differ only within the certificate
+	// tolerance, and never reflect different traffic (a stream divergence
+	// would produce unrelated λ).
+	for k, warmLam := range warmSeen {
+		_, coldLam := coldSolve(k.servers, k.trial)
 		lo, hi := coldLam, warmLam
 		if lo > hi {
 			lo, hi = hi, lo
@@ -165,8 +161,39 @@ func TestWarmVsColdSameInstancesAndAgreement(t *testing.T) {
 			t.Fatalf("probe %+v: cold λ=%v vs warm λ=%v — instances diverged", k, coldLam, warmLam)
 		}
 	}
-	if common == 0 {
-		t.Fatal("no common probe positions between warm and cold searches")
+
+	// Agreement: bisect [minServers, maxServers] with from-scratch probes (trials gated
+	// as in MaxServers); the answers may disagree only by the solver's
+	// approximation at the boundary (a few percent of the answer).
+	coldFeasible := func(servers int) bool {
+		for i := 0; i < trials; i++ {
+			if ok, _ := coldSolve(servers, i); !ok {
+				return false
+			}
+		}
+		return true
+	}
+	coldRes := 0
+	if coldFeasible(minServers) {
+		a, b := minServers, maxServers
+		if coldFeasible(maxServers) {
+			a = maxServers
+		}
+		for a < b-1 {
+			if mid := (a + b) / 2; coldFeasible(mid) {
+				a = mid
+			} else {
+				b = mid
+			}
+		}
+		coldRes = a
+	}
+	diff := coldRes - warmRes
+	if diff < 0 {
+		diff = -diff
+	}
+	if float64(diff) > 0.05*float64(coldRes)+2 {
+		t.Fatalf("warm result %d and cold result %d disagree beyond the approximation guarantee", warmRes, coldRes)
 	}
 }
 

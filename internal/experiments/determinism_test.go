@@ -81,35 +81,3 @@ func TestWorkersZeroMeansAllCores(t *testing.T) {
 		t.Fatal("Workers=0 output differs from serial output")
 	}
 }
-
-// The warm-start A/B guarantee (the RNG-reseeding audit's regression
-// test): Options.ColdStart may change solver seeding only — never which
-// topologies are built, which switches fail, or which traffic is drawn.
-// The switch-failure sweep exposes its instances through solver-
-// independent table columns (surviving server counts), which must be
-// byte-identical across the flag; throughputs may differ only within the
-// solver's certificate tolerance.
-func TestColdStartPreservesRandomStreams(t *testing.T) {
-	render := func(cold bool) *Table {
-		return AblationSwitchFailures(Options{Seed: 42, Quick: true, Workers: 1, ColdStart: cold})
-	}
-	warm, cold := render(false), render(true)
-	if len(warm.Rows) != len(cold.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(warm.Rows), len(cold.Rows))
-	}
-	for i := range warm.Rows {
-		// Columns: fail_frac, surviving_servers, throughput.
-		if warm.Rows[i][0] != cold.Rows[i][0] || warm.Rows[i][1] != cold.Rows[i][1] {
-			t.Fatalf("row %d instance columns diverged: warm %v vs cold %v — ColdStart changed a random stream", i, warm.Rows[i], cold.Rows[i])
-		}
-		w := parseFloat(t, warm.Rows[i][2])
-		c := parseFloat(t, cold.Rows[i][2])
-		lo, hi := w, c
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if hi > 0 && (hi-lo)/hi > 0.12 {
-			t.Fatalf("row %d throughput %v (warm) vs %v (cold) beyond solver tolerance", i, w, c)
-		}
-	}
-}

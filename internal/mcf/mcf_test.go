@@ -264,13 +264,6 @@ func TestStarOversubscribed(t *testing.T) {
 	check(t, res, 0.5, 0.08)
 }
 
-func TestLinkCapacityScales(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 1)
-	res := MaxConcurrentFlow(context.Background(), g, []Commodity{{0, 1, 1}}, Options{LinkCapacity: 10})
-	check(t, res, 10.0, 0.08)
-}
-
 func TestFeasibleAtFull(t *testing.T) {
 	g := ring(4)
 	if !FeasibleAtFull(g, []Commodity{{0, 2, 1}}, Options{}, 0.05) {
@@ -318,15 +311,14 @@ func TestCertificatesBracketOnRandomInstances(t *testing.T) {
 	}
 }
 
-// The scaled arc flows must respect capacity and deliver λ·demand per
+// The scaled arc flows must respect the unit link capacity and deliver λ·demand per
 // commodity in aggregate (flow conservation checked via total volume).
 func TestArcFlowFeasibility(t *testing.T) {
 	g := ring(6)
 	comms := []Commodity{{0, 3, 1}, {1, 4, 1}, {2, 5, 1}}
-	opt := Options{}.withDefaults()
 	res := MaxConcurrentFlow(context.Background(), g, comms, Options{})
 	for i, f := range res.ArcFlow {
-		if f > opt.LinkCapacity+1e-6 {
+		if f > 1+1e-6 {
 			t.Fatalf("arc %d flow %v exceeds capacity", i, f)
 		}
 	}
@@ -349,11 +341,11 @@ func TestTighterEpsilonTightensGap(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Epsilon != 0.1 || o.Tol != 0.05 || o.MaxPhases != 3000 || o.LinkCapacity != 1 {
+	if o.Epsilon != 0.1 || o.Tol != 0.05 || o.MaxPhases != 3000 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	custom := Options{Epsilon: 0.2, Tol: 0.01, MaxPhases: 7, LinkCapacity: 4}.withDefaults()
-	if custom.Epsilon != 0.2 || custom.Tol != 0.01 || custom.MaxPhases != 7 || custom.LinkCapacity != 4 ||
+	custom := Options{Epsilon: 0.2, Tol: 0.01, MaxPhases: 7}.withDefaults()
+	if custom.Epsilon != 0.2 || custom.Tol != 0.01 || custom.MaxPhases != 7 ||
 		custom.Workers != 0 || custom.Obs != nil {
 		t.Fatalf("custom options overwritten: %+v", custom)
 	}
@@ -432,14 +424,14 @@ func TestMaxPhasesCapRespected(t *testing.T) {
 }
 
 func TestFeasibleAtFullWithCapacity(t *testing.T) {
-	// Demand 3 over a capacity-4 link: feasible only thanks to capacity.
+	// One unit-capacity link: a demand of 3/4 fits, one of 3/2 does not.
 	g := graph.New(2)
 	g.AddEdge(0, 1)
-	if !FeasibleAtFull(g, []Commodity{{0, 1, 3}}, Options{LinkCapacity: 4}, 0.05) {
-		t.Fatal("feasible instance rejected with LinkCapacity=4")
+	if !FeasibleAtFull(g, []Commodity{{0, 1, 0.75}}, Options{}, 0.05) {
+		t.Fatal("feasible instance rejected: demand 0.75 over a unit link")
 	}
-	if FeasibleAtFull(g, []Commodity{{0, 1, 3}}, Options{LinkCapacity: 2}, 0.05) {
-		t.Fatal("infeasible instance accepted with LinkCapacity=2")
+	if FeasibleAtFull(g, []Commodity{{0, 1, 1.5}}, Options{}, 0.05) {
+		t.Fatal("infeasible instance accepted: demand 1.5 over a unit link")
 	}
 }
 
@@ -466,7 +458,7 @@ func TestResultEdgesIndexing(t *testing.T) {
 // only changes scheduling, never routing.
 func TestWorkerCountInvariance(t *testing.T) {
 	// A random-ish regular graph with many sources keeps several batches
-	// and the recompute path (Demand > LinkCapacity) exercised.
+	// and the recompute path (Demand > link capacity) exercised.
 	g := graph.New(24)
 	r := rand.New(rand.NewSource(5))
 	for u := 0; u < 24; u++ {
