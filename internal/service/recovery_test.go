@@ -384,6 +384,49 @@ func TestDrainRejectsNewWorkAndFinishesJobs(t *testing.T) {
 	}
 }
 
+// A Drain whose context has already expired must cancel every job still
+// running and return only once each has exited, even when the job it
+// happens to wait on first is already finished (the select then has two
+// ready cases). Finished jobs are listed in map order alongside the long
+// one, so each round gives the select that choice with high probability.
+func TestDrainAfterDeadlineCancelsStragglers(t *testing.T) {
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	for round := 0; round < 12; round++ {
+		ts, srv := durableServer(t, t.TempDir(), Options{Workers: 2})
+		for i := 0; i < 4; i++ {
+			waitJob(t, ts.URL, submitJob(t, ts.URL, recoveryJobBody).ID)
+		}
+		long := submitJob(t, ts.URL, `{"type":"capacity-search","request":{"switches":90,"ports":12,"trials":2,"seed":5}}`)
+		srv.jobs.mu.Lock()
+		j := srv.jobs.jobs[long.ID]
+		srv.jobs.mu.Unlock()
+		// Barrier: the search has reported its first probe, so it is
+		// running and has most of its probes still ahead of it.
+		j.mu.Lock()
+		for len(j.events) == 0 && !terminalStatus(j.status) {
+			j.eventsCh.Wait()
+		}
+		j.mu.Unlock()
+
+		srv.Drain(expired)
+		select {
+		case <-j.done:
+		default:
+			<-j.done
+			ts.Close()
+			t.Fatalf("round %d: Drain returned while job %s was still running", round, long.ID)
+		}
+		j.mu.Lock()
+		status := j.status
+		j.mu.Unlock()
+		ts.Close()
+		if status != jobCancelled {
+			t.Fatalf("round %d: job %s ended %s, want cancelled by the expired drain", round, long.ID, status)
+		}
+	}
+}
+
 // doneHookCtx is a context that closes called the first time its Done
 // method is asked for: a barrier on the moment a caller starts waiting
 // on it.

@@ -166,29 +166,16 @@ func New(opt Options) (*Server, error) {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close cancels outstanding jobs and shuts the worker pool down after
-// in-flight work drains. Interrupted jobs are NOT journaled as terminal,
-// so a durable store re-runs them on the next boot — Close is the
-// abrupt path; Drain is the graceful one.
+// Close is Drain with an already-expired context: it cancels outstanding
+// jobs and shuts the worker pool down once they have exited. Interrupted
+// jobs are NOT journaled as terminal, so a durable store re-runs them on
+// the next boot — Close is the abrupt path; Drain is the graceful one.
 //
 //jellyvet:allow deadexport -- called by jfbench (nested module)
 func (s *Server) Close() {
-	s.jobs.mu.Lock()
-	s.jobs.draining = true
-	jobs := make([]*job, 0, len(s.jobs.jobs))
-	for _, j := range s.jobs.jobs { //jellyvet:allow determinism -- shutdown cancels every job; order is irrelevant
-		j.cancel()
-		jobs = append(jobs, j)
-	}
-	s.jobs.mu.Unlock()
-	// Wait for executor goroutines: they exit promptly once cancelled
-	// (queued jobs at dequeue, running ones at the next ctx poll),
-	// and the store must not close under a finish in flight.
-	for _, j := range jobs {
-		<-j.done
-	}
-	s.closeStore()
-	s.sched.close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Drain(ctx)
 }
 
 // Drain is the graceful counterpart to Close: stop admitting work, let
@@ -209,16 +196,19 @@ func (s *Server) Drain(ctx context.Context) {
 		select {
 		case <-j.done:
 		case <-ctx.Done():
-			// Out of patience: interrupt everything still running and
-			// wait for the prompt exits.
+		}
+		// The select may take a finished job's done even when ctx has
+		// expired too, so test ctx itself: out of patience, interrupt
+		// everything still running and wait for the prompt exits
+		// (queued jobs at dequeue, running ones at the next ctx poll),
+		// so the store never closes under a finish in flight.
+		if ctx.Err() != nil {
 			for _, j := range jobs {
 				j.cancel()
 			}
 			for _, j := range jobs {
 				<-j.done
 			}
-		}
-		if ctx.Err() != nil {
 			break
 		}
 	}
