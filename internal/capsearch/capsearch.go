@@ -164,13 +164,6 @@ type Config struct {
 	// bit-identical for every worker count). Trials themselves are
 	// sequential — see Trials.
 	Workers int
-	// Cold disables warm-start threading: every solve starts from
-	// scratch, on exactly the same instances and random streams — the
-	// A/B lever for the warm-start benchmarks and equivalence tests.
-	Cold bool
-	// Solver overrides the per-trial solver options (zero value =
-	// defaults; its Workers field is superseded by Config.Workers).
-	Solver mcf.Options
 	// Estimator, when non-nil, screens each trial with certified bounds
 	// before the exact solve: a trial whose estimator Upper bound falls
 	// below 1-Slack is rejected without solving — answer-preserving
@@ -275,9 +268,7 @@ type probeStats struct {
 }
 
 func newProber(cfg Config) *prober {
-	opt := cfg.Solver
-	opt.Workers = cfg.Workers
-	opt.Obs = cfg.Obs.solverObs()
+	opt := mcf.Options{Workers: cfg.Workers, Obs: cfg.Obs.solverObs()}
 	p := &prober{
 		cfg:     cfg,
 		solvers: make([]*mcf.Solver, cfg.Trials),
@@ -377,11 +368,7 @@ func (p *prober) trial(ctx context.Context, i int, top *topology.Topology, assig
 			return false
 		}
 	}
-	var warm *mcf.State
-	if !p.cfg.Cold {
-		warm = p.states[i]
-	}
-	ok, st := p.solvers[i].FeasibleAtFull(ctx, top.Graph, comms, p.cfg.Slack, warm)
+	ok, st := p.solvers[i].FeasibleAtFull(ctx, top.Graph, comms, p.cfg.Slack, p.states[i])
 	if debugProbe != nil {
 		debugProbe(len(assign), i, ok, st)
 	}

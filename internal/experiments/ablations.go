@@ -59,8 +59,7 @@ func AblationRoutingK(opt Options) *Table {
 // paper's abstract claims. The dial is swept incrementally: one topology
 // family grown a server per switch at a time (adjacent points share most
 // cables), with the solver warm-started from the previous point in sweep
-// order. Options.ColdStart keeps the identical sweep but solves each
-// point from scratch.
+// order.
 func AblationOversubscription(opt Options) *Table {
 	n, ports := 60, 12
 	if !opt.Quick {
@@ -89,9 +88,6 @@ func AblationOversubscription(opt Options) *Table {
 		top := fam.At(n * srv)
 		srvBuf = top.ServerSwitchesInto(srvBuf)
 		pat := traffic.RandomPermutation(srvBuf, src.SplitN("traffic", srv))
-		if opt.ColdStart {
-			st = nil
-		}
 		var res mcf.Result
 		res, st = sv.Solve(context.Background(), top.Graph, pat.Commodities(), st)
 		tps[i] = res.Throughput()
@@ -225,9 +221,6 @@ func AblationSwitchFailures(opt Options) *Table {
 			topology.FailSwitches(top, perm[:int(f*float64(n))])
 			srvBuf = top.ServerSwitchesInto(srvBuf)
 			pat := traffic.RandomPermutation(srvBuf, tsrc.SplitN("traffic", fi))
-			if opt.ColdStart {
-				st = nil
-			}
 			var res mcf.Result
 			res, st = sv.Solve(context.Background(), top.Graph, pat.Commodities(), st)
 			out.surv[fi] = top.NumServers()
@@ -378,9 +371,6 @@ func AblationHotspot(opt Options) *Table {
 		out := make([]float64, len(fracs))
 		for fi, f := range fracs {
 			pat := traffic.Hotspot(top.ServerSwitches(), 0, f, tsrc.SplitN("traffic", fi))
-			if opt.ColdStart {
-				st = nil
-			}
 			var res mcf.Result
 			res, st = sv.Solve(context.Background(), top.Graph, pat.Commodities(), st)
 			out[fi] = res.Throughput() / float64(trials)

@@ -206,8 +206,7 @@ func Fig2cServersAtFullThroughput(opt Options) *Table {
 	// itself is sequential but every feasibility probe fans its trials
 	// out. Probes draw from an incremental topology family and thread
 	// warm solver state between adjacent points in probe order
-	// (capsearch; Options.ColdStart solves every probe from scratch on
-	// the same instances).
+	// (capsearch).
 	type kRow struct {
 		ports, ftServers, jfServers int
 	}
@@ -229,7 +228,6 @@ func Fig2cServersAtFullThroughput(opt Options) *Table {
 			// parallel.Map above); keep each probe's solver serial so the
 			// goroutine count stays ~workers rather than workers².
 			Workers: 1,
-			Cold:    opt.ColdStart,
 		})
 		return kRow{ft.TotalPorts(), ftServers, jfServers}
 	})

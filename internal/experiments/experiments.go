@@ -37,14 +37,6 @@ type Options struct {
 	// Workers value: per-trial random streams are derived from the root
 	// seed by stable index, never by completion order.
 	Workers int
-	// ColdStart disables the flow solver's warm-start threading in the
-	// capacity searches and sweeps that use it (fig2c and the mcf-driven
-	// ablations), solving every point from scratch. Instances and random
-	// streams are identical in both modes — it switches solver seeding
-	// only, so it is the A/B lever for the warm-start regression
-	// benchmarks and the warm-vs-cold equivalence tests (no CLI flag
-	// sets it).
-	ColdStart bool
 }
 
 // workers resolves the Workers knob (0 = all cores).

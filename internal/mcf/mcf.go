@@ -1,6 +1,8 @@
 // Package mcf computes maximum concurrent multi-commodity flow on switch
 // topologies: the largest λ such that λ·demand can be routed for every
-// commodity simultaneously, with flows splittable across paths. This is the
+// commodity simultaneously, with flows splittable across paths. Every
+// switch-switch link carries one unit in each direction, in server-NIC
+// units, as in the paper's uniform-link model. This is the
 // "optimal routing / ideal load balancing" oracle the Jellyfish paper
 // evaluates topologies with (the paper uses the CPLEX LP solver; see
 // DESIGN.md §8 for the substitution argument).
@@ -49,9 +51,6 @@ type Options struct {
 	Tol float64
 	// MaxPhases caps the number of GK phases (default 3000).
 	MaxPhases int
-	// LinkCapacity is the capacity of every switch-switch link in each
-	// direction, in server-NIC units (default 1).
-	LinkCapacity float64
 	// Workers bounds the goroutines used for the per-source shortest-path
 	// sweeps (0 = all cores, 1 = serial). Sources are processed in fixed
 	// batches of sourceBatch trees computed against a length snapshot, so
@@ -73,9 +72,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPhases <= 0 {
 		o.MaxPhases = 3000
-	}
-	if o.LinkCapacity <= 0 {
-		o.LinkCapacity = 1
 	}
 	return o
 }
@@ -168,7 +164,6 @@ type solver struct {
 	n        int
 	edges    []graph.Edge
 	arcTo    []int32 // arc a goes to arcTo[a]; its tail is arcTo[a^1]
-	arcCap   float64 // uniform capacity
 	csrStart []int32 // arcs out of node u are csrArc[csrStart[u]:csrStart[u+1]]
 	csrArc   []int32 // outgoing arc ids, grouped by tail node
 
@@ -270,7 +265,6 @@ func newSolver(csr *graph.CSR, comms []Commodity, opt Options) *solver {
 func (s *solver) init(csr *graph.CSR, comms []Commodity, opt Options) bool {
 	s.opt = opt
 	s.obs = opt.Obs
-	s.arcCap = opt.LinkCapacity
 	s.epsilon = opt.Epsilon
 	s.workers = parallel.Workers(opt.Workers)
 	s.earlyAccept, s.earlyReject = 0, 0
@@ -346,8 +340,8 @@ func (s *solver) init(csr *graph.CSR, comms []Commodity, opt Options) bool {
 		}
 	}
 
-	// Garg–Könemann initial length δ/c per arc (a warm seed, if any,
-	// overwrites this; see seedWarm).
+	// Garg–Könemann initial length δ/c per arc, δ at unit capacity (a
+	// warm seed, if any, overwrites this; see seedWarm).
 	mm := float64(2 * m)
 	s.delta = (1 + s.epsilon) * math.Pow((1+s.epsilon)*mm, -1/s.epsilon)
 	s.resetLengthsCold()
@@ -356,7 +350,7 @@ func (s *solver) init(csr *graph.CSR, comms []Commodity, opt Options) bool {
 
 func (s *solver) resetLengthsCold() {
 	for i := range s.length {
-		s.length[i] = s.delta / s.arcCap
+		s.length[i] = s.delta
 	}
 }
 
@@ -672,9 +666,9 @@ func (s *solver) phase() bool {
 				// Reachability was checked on the batch tree above and is
 				// static, so recomputed trees always reach dst.
 				for remaining > 0 {
-					// Bottleneck-limited step: with uniform arc capacities the
-					// path bottleneck is a single arc's capacity.
-					step := math.Min(remaining, s.arcCap)
+					// Bottleneck-limited step: every arc has unit capacity,
+					// so the path bottleneck is 1.
+					step := math.Min(remaining, 1)
 					s.applyFlow(sc, dst, step)
 					remaining -= step
 					if remaining > 0 {
@@ -702,7 +696,10 @@ func (s *solver) applyFlow(sc *sweepScratch, dst int32, step float64) {
 	for v := dst; sc.parentArc[v] >= 0; {
 		a := sc.parentArc[v]
 		s.flow[a] += step
-		s.length[a] *= 1 + s.epsilon*step/s.arcCap
+		// The conversion rounds the product before the add: without it
+		// Go may fuse 1 + ε·step into an FMA on some targets, and the
+		// lengths would then differ by platform.
+		s.length[a] *= 1 + float64(s.epsilon*step)
 		// Move to the arc's tail: arc a goes tail->head where head = arcTo[a].
 		v = s.arcTo[a^1]
 	}
@@ -723,8 +720,8 @@ func (s *solver) primalLambda(routedPhases float64) float64 {
 func (s *solver) maxOveruse() float64 {
 	rho := 0.0
 	for _, f := range s.flow {
-		if r := f / s.arcCap; r > rho {
-			rho = r
+		if f > rho {
+			rho = f
 		}
 	}
 	return rho
@@ -757,7 +754,7 @@ func (s *solver) dualBound() float64 {
 func (s *solver) volume() float64 {
 	var d float64
 	for _, l := range s.length {
-		d += l * s.arcCap
+		d += l
 	}
 	return d
 }

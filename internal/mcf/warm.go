@@ -98,9 +98,11 @@ func NewSolver(opt Options) *Solver {
 // Solve computes the maximum concurrent flow for the instance, optionally
 // warm-started from a State produced by a previous solve on a related
 // instance (same or mildly perturbed graph, any commodity set). A nil
-// warm — or a warm whose topology overlaps the instance by less than
-// warmMinOverlap — falls back to a cold start; the result is then
-// bit-identical to MaxConcurrentFlow with the same Options.
+// warm — or a seed refused by seedWarm's rules — falls back to a cold
+// start; the result is then bit-identical to an unseeded handle solve
+// (a nil warm) on the same instance and Options. It is not in general
+// bit-identical to MaxConcurrentFlow: handle solves enable the primal
+// restart, which the one-shot solve does not (DESIGN.md §9).
 //
 // The returned State snapshots this solve for the next point in the
 // chain. Like MaxConcurrentFlow, an instance with no effective
@@ -148,8 +150,7 @@ func (sv *Solver) solve(ctx context.Context, g *graph.Graph, comms []Commodity, 
 // the minimum shared length (attractive enough to be explored, and
 // multiplicative updates correct an underestimate within a few routings).
 // The seeded function is rescaled to warmStartVolume; scaling cancels in
-// the dual bound, so relative structure is all that is carried — which
-// also makes seeds portable across LinkCapacity changes.
+// the dual bound, so relative structure is all that is carried.
 //
 // Falls back (returns false, cold lengths intact) when st is nil or
 // immature (certificate gap above warmMaxSeedGap), overlaps the instance

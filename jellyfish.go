@@ -52,8 +52,8 @@
 // almost every cable, and the binary searches thread warm state between
 // probes in deterministic order — measured ≥2× wall-clock on the
 // Fig. 2(c)-style search (BENCH_mcf.json). CapacitySearch exposes the
-// knobs, including the ColdStart A/B lever; WhatIfEvaluator (ops.go)
-// gives operators the same warm chain for what-if scenario sequences.
+// knobs; WhatIfEvaluator (ops.go) gives operators the same warm chain
+// for what-if scenario sequences.
 //
 // # Writing kernel code
 //
@@ -302,8 +302,7 @@ func SupportsFullThroughput(t *Topology, trials int, slack float64, seed uint64,
 // probes share almost every cable, as the paper's Fig. 6 shows is
 // capacity-neutral — and the flow solver warm-starts each probe from the
 // previous one's solution, with per-trial state chains advanced in
-// deterministic probe order. Use CapacitySearch to tune the knobs
-// (including ColdStart for the from-scratch baseline).
+// deterministic probe order. Use CapacitySearch to tune the knobs.
 //
 // A nonsensical inventory (switches or ports ≤ 0, trials ≤ 0) returns a
 // typed *InvalidConfigError instead of panicking or silently reporting 0,
@@ -333,10 +332,6 @@ type CapacitySearch struct {
 	// warm state threads deterministically; the result is identical for
 	// every worker count.
 	Workers int
-	// ColdStart disables the solver's warm-start threading, solving every
-	// probe from scratch on the same instances and random streams — the
-	// A/B switch used by the regression benchmarks and tests.
-	ColdStart bool
 	// Estimator, when non-empty, screens probe trials with a bounded
 	// approximate estimator ("bisection", "spectral", or "sampled-mcf")
 	// before the exact solver runs: trials whose certified Upper bound
@@ -454,7 +449,6 @@ func (c CapacitySearch) RunOnFamilyContext(ctx context.Context, fam *SearchFamil
 		Trials:    c.Trials,
 		Slack:     c.Slack,
 		Workers:   c.Workers,
-		Cold:      c.ColdStart,
 		Estimator: est,
 		Probe:     probe,
 		Obs:       c.Obs,
