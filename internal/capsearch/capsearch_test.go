@@ -162,9 +162,10 @@ func TestWarmVsColdSameInstancesAndAgreement(t *testing.T) {
 		}
 	}
 
-	// Agreement: bisect [minServers, maxServers] with from-scratch probes (trials gated
-	// as in MaxServers); the answers may disagree only by the solver's
-	// approximation at the boundary (a few percent of the answer).
+	// Agreement: bisect [minServers, maxServers] with from-scratch
+	// probes, trials gated as in MaxServers; the answers may disagree
+	// only by the solver's approximation at the boundary (a few percent
+	// of the answer).
 	coldFeasible := func(servers int) bool {
 		for i := 0; i < trials; i++ {
 			if ok, _ := coldSolve(servers, i); !ok {

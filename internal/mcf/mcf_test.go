@@ -311,8 +311,9 @@ func TestCertificatesBracketOnRandomInstances(t *testing.T) {
 	}
 }
 
-// The scaled arc flows must respect the unit link capacity and deliver λ·demand per
-// commodity in aggregate (flow conservation checked via total volume).
+// The scaled arc flows must respect the unit link capacity and deliver
+// λ·demand per commodity in aggregate (flow conservation checked via
+// total volume).
 func TestArcFlowFeasibility(t *testing.T) {
 	g := ring(6)
 	comms := []Commodity{{0, 3, 1}, {1, 4, 1}, {2, 5, 1}}

@@ -387,8 +387,8 @@ func TestDrainRejectsNewWorkAndFinishesJobs(t *testing.T) {
 // A Drain whose context has already expired must cancel every job still
 // running and return only once each has exited, even when the job it
 // happens to wait on first is already finished (the select then has two
-// ready cases). Finished jobs are listed in map order alongside the long
-// one, so each round gives the select that choice with high probability.
+// ready cases). Drain lists jobs in map order, so in most rounds it
+// waits on one of the four finished jobs first.
 func TestDrainAfterDeadlineCancelsStragglers(t *testing.T) {
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
