@@ -24,7 +24,8 @@ func instrumented() {
 	dur.ObserveSince(t)
 	dur.Observe(t.ElapsedNanos()) // ok: result flows into a telemetry call
 	m := rec.Mark()               // ok: Mark is a telemetry type
-	_ = rec.TraceSince(m)         // ok: *Trace is a telemetry type
+	c := rec.TraceSince(m)        // ok: *Capture is a telemetry type
+	_ = c.Tree()                  // ok: *Trace is a telemetry type
 }
 
 // feedback lets telemetry read-outs escape into computation — the bug

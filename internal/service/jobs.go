@@ -56,10 +56,10 @@ type job struct {
 	status   string
 	result   []byte
 	events   [][]byte
-	// trace is the execution's recorded span tree (GET /v1/trace/{id}).
-	// In-memory only: traces are wall-clock diagnostics, deliberately
+	// trace is the execution's recorded span capture, rendered as a tree
+	// only when GET /v1/trace/{id} serves it. In-memory only: traces are wall-clock diagnostics, deliberately
 	// kept out of the durable store and the determinism guarantee.
-	trace    *telemetry.Trace
+	trace    *telemetry.Capture
 	err      *apiError
 	created  time.Time
 	started  time.Time

@@ -89,7 +89,7 @@ type terminal struct {
 	err               *apiError
 	result            []byte
 	events            [][]byte
-	trace             *telemetry.Trace
+	trace             *telemetry.Capture
 }
 
 // persistTerminal writes t's result and event-stream blobs and fills

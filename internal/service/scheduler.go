@@ -16,9 +16,10 @@ import (
 )
 
 // The scheduler is the serving core: a fixed pool of solver workers, each
-// owning a warm-state cache, with requests hashed by topology-family key
-// to a shard. One goroutine per worker executes that shard's requests
-// sequentially, which is what makes holding mutable warm assets
+// owning a warm-state cache. A topology family is placed the first time
+// it is seen on the shard with the fewest queued and running tasks, and
+// every later request for it goes to that home shard. One goroutine per
+// worker executes that shard's requests sequentially, which is what makes holding mutable warm assets
 // (capsearch.Family memoization, reusable solver chains) safe without any
 // locking: confinement, not synchronization, is the ownership story.
 // Finished responses are the exception: they are immutable, so they live
@@ -30,8 +31,9 @@ import (
 // a pure function of its key, and keys are canonical content digests of
 // the request (or of a chain prefix of it). A cache hit therefore returns
 // exactly the bytes/state a cold execution would have computed, and the
-// shard a family lands on — which changes with the worker count — can
-// affect only wall-clock, never results.
+// shard a family lands on — which changes with the worker count and with
+// the load at its first request — can affect only wall-clock, never
+// results.
 
 // errSchedulerClosed reports a submit after Close (shutdown path).
 var errSchedulerClosed = errors.New("service: scheduler closed")
@@ -65,7 +67,7 @@ type task struct {
 	done   chan struct{}
 	resp   []byte
 	events [][]byte
-	trace  *telemetry.Trace
+	trace  *telemetry.Capture
 	err    error
 }
 
@@ -77,12 +79,12 @@ type task struct {
 type cachedResult struct {
 	resp   []byte
 	events [][]byte
-	// trace is the span tree the original execution recorded, shared by
+	// trace is the spans the original execution recorded, shared by
 	// every hit so a cached job's /v1/trace answer matches the cold
 	// run's. Traces are diagnostics, NOT covered by the determinism
 	// guarantee (their durations are wall-clock), which is why they live
 	// beside the guaranteed bytes rather than inside them.
-	trace *telemetry.Trace
+	trace *telemetry.Capture
 }
 
 // worker is one cache shard: a queue, the warm-state cache it owns, and
@@ -100,6 +102,9 @@ type worker struct {
 	// cacheLen mirrors cache.len() for the cache-entries gauge (the
 	// cache itself is confined to this worker's goroutine).
 	cacheLen atomic.Int64
+	// load counts the tasks queued on or running in this shard: raised
+	// at enqueue, lowered when execute finishes. Placement reads it.
+	load atomic.Int64
 }
 
 // lookup reads key from the worker's cache, counting a hit or a miss
@@ -122,6 +127,12 @@ type scheduler struct {
 
 	mu       sync.Mutex
 	inflight map[string]*task
+	// home maps a family to the shard it was placed on (an int), under
+	// mu, bounded like the warm caches it steers requests to.
+	home lruList
+	// placements counts first placements that chose the hash shard and
+	// that chose a less-loaded one (placeHash, placeLeastLoaded).
+	placements [2]atomic.Int64
 	// closed is set under mu (so a submit racing close is decided there)
 	// and read without it on the hit path.
 	closed atomic.Bool
@@ -149,6 +160,7 @@ func newScheduler(workers, solverWorkers, cacheEntries int, tl *tele) *scheduler
 		workers:  make([]*worker, workers),
 		resp:     newRespCache(shared),
 		inflight: make(map[string]*task),
+		home:     newLRUList(workers * perWorker),
 		tele:     tl,
 	}
 	for i := range s.workers {
@@ -179,9 +191,9 @@ func newScheduler(workers, solverWorkers, cacheEntries int, tl *tele) *scheduler
 // and polled by the executors and the kernels beneath them; never nil);
 // dedup enables single-flight coalescing, onStart (optional) fires when
 // execution actually begins on the worker. The returned trace is the
-// execution's recorded span tree (nil with telemetry disabled); deduped
+// execution's recorded spans (nil with telemetry disabled); deduped
 // followers and response-tier hits share the original execution's trace.
-func (s *scheduler) do(ctx context.Context, p *plan, dedup bool, onStart func(), onEvent func([]byte)) ([]byte, *telemetry.Trace, error) {
+func (s *scheduler) do(ctx context.Context, p *plan, dedup bool, onStart func(), onEvent func([]byte)) ([]byte, *telemetry.Capture, error) {
 	if s.closed.Load() {
 		return nil, nil, errSchedulerClosed
 	}
@@ -214,19 +226,54 @@ func (s *scheduler) do(ctx context.Context, p *plan, dedup bool, onStart func(),
 		}
 		s.inflight[p.key] = t
 	}
+	w := s.workers[s.place(p.family)]
+	w.load.Add(1)
 	s.submitters.Add(1)
 	s.mu.Unlock()
 
-	s.workers[s.shard(p.family)].queue <- t
+	w.queue <- t
 	s.submitters.Done()
 	<-t.done
 	return t.resp, t.trace, t.err
 }
 
-// shard maps a topology-family key to its owning worker. Related requests
-// — same design, same capacity-search inventory — always land together,
-// so they find each other's warm state; the mapping itself can change
-// with the worker count, which is safe because cached values are pure.
+// The two kinds of first placement, indexing scheduler.placements.
+const (
+	placeHash = iota
+	placeLeastLoaded
+)
+
+// place returns the shard a family's request runs on: the family's home
+// if it has one, else — its first request, or the first since its home
+// was evicted — the shard with the fewest queued and running tasks,
+// which becomes its home. Ties go to the family's hash shard. Related
+// requests (same design, same capacity-search inventory) thus keep
+// landing together and find each other's warm state, even when the
+// home is busy, while a new family does not queue behind a busy shard
+// when another sits idle. Caller holds s.mu.
+func (s *scheduler) place(family string) int {
+	if v, ok := s.home.get(family); ok {
+		return v.(int)
+	}
+	h := s.shard(family)
+	best, bestLoad := h, s.workers[h].load.Load()
+	for i, w := range s.workers {
+		if l := w.load.Load(); l < bestLoad {
+			best, bestLoad = i, l
+		}
+	}
+	if best == h {
+		s.placements[placeHash].Add(1)
+	} else {
+		s.placements[placeLeastLoaded].Add(1)
+	}
+	s.home.put(family, best)
+	return best
+}
+
+// shard is a family's hash shard: an FNV hash of its key mod the worker
+// count, which breaks placement ties. It can change with the worker
+// count, which is safe because cached values are pure.
 func (s *scheduler) shard(family string) int {
 	h := fnv.New32a()
 	h.Write([]byte(family))
@@ -241,6 +288,7 @@ func (w *worker) execute(s *scheduler, t *task) {
 			delete(s.inflight, t.key)
 			s.mu.Unlock()
 		}
+		w.load.Add(-1)
 		close(t.done)
 	}()
 	s.tele.queueWait.ObserveSince(t.enq)
@@ -274,8 +322,8 @@ func (w *worker) execute(s *scheduler, t *task) {
 	}
 	// Record the execution: a root span named by the operation, with
 	// whatever the executor and the kernels beneath it record nested
-	// inside. The trace is extracted here — on the recorder's own
-	// goroutine, after the work — and is immutable from then on.
+	// inside. The spans are captured here — on the recorder's own
+	// goroutine, after the work — and are immutable from then on.
 	opT := telemetry.StartTimer()
 	mark := w.tele.rec.Mark()
 	w.tele.rec.Begin(t.op, 0)

@@ -282,7 +282,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			Message: "no trace recorded for this job (telemetry disabled, or the job predates this daemon process)"})
 		return
 	}
-	writeJSON(w, http.StatusOK, TraceResponse{JobID: j.id, Trace: trace})
+	writeJSON(w, http.StatusOK, TraceResponse{JobID: j.id, Trace: trace.Tree()})
 }
 
 // decodeStrict unmarshals a request document, rejecting unknown fields so

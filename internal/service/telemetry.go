@@ -21,15 +21,19 @@ import (
 //
 // Confinement: counters and histograms are shared atomics and may be
 // written from any goroutine; each shard worker's flight Recorder is
-// confined to that worker's goroutine (workerTele), and the *Trace
-// trees it extracts are immutable and shared freely. Telemetry is
+// confined to that worker's goroutine (workerTele), and the Captures
+// it extracts are immutable and shared freely. Telemetry is
 // one-way — nothing read from an instrument may influence a response —
 // and jellyvet's obsconfine analyzer enforces that across the package.
 
 // recorderSpans is each shard worker's flight-recorder window: the ring
 // holds the most recent completed spans, so a trace covers roughly this
 // many probe/trial/phase spans before truncation (Trace.Dropped counts
-// the overflow). At ~56 bytes a span this is ~56 KiB per worker.
+// the overflow). At ~56 bytes a span this is ~56 KiB per worker. A
+// finished execution retains its spans as a telemetry.Capture at 32
+// bytes a span (a ~1,000-span capacity search keeps ~32 KB, shared by
+// its job and its response-tier entry); the span tree is built only
+// when GET /v1/trace serves it.
 const recorderSpans = 1024
 
 // The warm-state cache tiers, indexing each worker's hit/miss counters.
@@ -192,7 +196,7 @@ func newTele(workers int) *tele {
 
 // bindScheduler registers the read-out bridges over the scheduler's own
 // state (per-worker queue depth, shared response-tier and per-worker
-// cache sizes) and the scheduler's counters. Called once, right after
+// cache sizes, family placements) and the scheduler's counters. Called once, right after
 // the scheduler is built; a no-op with telemetry disabled.
 func (t *tele) bindScheduler(s *scheduler) {
 	if t.reg == nil {
@@ -210,6 +214,11 @@ func (t *tele) bindScheduler(s *scheduler) {
 	for i, w := range s.workers {
 		t.reg.GaugeFunc("jellyfishd_cache_entries", entriesHelp,
 			telemetry.Labels("worker", strconv.Itoa(i)), w.cacheLen.Load)
+	}
+	const placementsHelp = "First placements of a topology family: on its hash shard (placement=\"hash\"), or on a shard with fewer queued and running tasks (placement=\"least_loaded\")."
+	for i, name := range [...]string{placeHash: "hash", placeLeastLoaded: "least_loaded"} {
+		t.reg.CounterFunc("jellyfishd_scheduler_placements_total", placementsHelp,
+			telemetry.Labels("placement", name), s.placements[i].Load)
 	}
 	t.deduped = t.reg.Counter("jellyfishd_sched_deduped_total",
 		"Requests coalesced onto an identical in-flight execution.", "")

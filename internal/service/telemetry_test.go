@@ -111,6 +111,7 @@ func TestMetricsExposition(t *testing.T) {
 		"jellyfishd_op_duration_seconds",
 		"jellyfishd_scheduler_queue_wait_seconds",
 		"jellyfishd_scheduler_queue_depth",
+		"jellyfishd_scheduler_placements_total",
 		"jellyfishd_cache_hits_total",
 		"jellyfishd_cache_misses_total",
 		"jellyfishd_cache_entries",

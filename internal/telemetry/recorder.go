@@ -133,49 +133,115 @@ type Trace struct {
 	Dropped int64   `json:"dropped,omitempty"`
 }
 
-// TraceSince builds the span tree for everything recorded after m. It
-// allocates (per span) and must be called off the hot path, on the
-// recorder's own goroutine, after the instrumented work completes. The
-// returned Trace is immutable and safe to share across goroutines.
-func (r *Recorder) TraceSince(m Mark) *Trace {
+// A Capture is the retained form of a trace: one flat 32-byte record per
+// span and each distinct span name once, with no per-span pointers. A
+// finished execution keeps its Capture for as long as its job and its
+// cached response live; Tree renders the span tree only when a trace is
+// actually served. Nil is a valid Capture (telemetry disabled).
+type Capture struct {
+	recs    []capRec // close order: every span precedes its parent
+	names   []string
+	dropped int64
+}
+
+// capRec is one captured span: 32 bytes.
+type capRec struct {
+	parent int32 // index of the enclosing span in recs, -1 at a root
+	name   int32 // index into Capture.names
+	arg    int64
+	start  int64 // nanoseconds after the capture's earliest span
+	dur    int64
+}
+
+// TraceSince captures everything recorded after m. It allocates (three
+// allocations for a capture using at most eight span names) and must be
+// called off the hot path, on the recorder's own goroutine, after the
+// instrumented work completes. The returned Capture is immutable and
+// safe to share across goroutines.
+func (r *Recorder) TraceSince(m Mark) *Capture {
 	if r == nil {
 		return nil
 	}
-	tr := &Trace{Dropped: int64(r.dropped - m.dropped)}
+	c := &Capture{dropped: int64(r.dropped - m.dropped)}
 	lo := m.next
 	if span := r.next - lo; span > uint64(len(r.ring)) {
 		overwritten := span - uint64(len(r.ring))
-		tr.Dropped += int64(overwritten)
+		c.dropped += int64(overwritten)
 		lo += overwritten
 	}
 	if lo == r.next {
-		return tr
+		return c
 	}
-	// Spans are written at End time (close order): children precede
-	// parents. Two passes — materialize, then link.
-	nodes := make(map[uint64]*Span, r.next-lo)
-	recs := make([]spanRec, 0, r.next-lo)
+	ring := func(i int) *spanRec { return &r.ring[(lo+uint64(i))%uint64(len(r.ring))] }
+	c.recs = make([]capRec, r.next-lo)
+	c.names = make([]string, 0, 8)
 	minStart := int64(1<<63 - 1)
-	for i := lo; i < r.next; i++ {
-		rec := r.ring[i%uint64(len(r.ring))]
-		recs = append(recs, rec)
-		nodes[rec.id] = &Span{Name: rec.name, Arg: rec.arg, DurNs: rec.end - rec.start}
-		if rec.start < minStart {
-			minStart = rec.start
+	for i := range c.recs {
+		minStart = min(minStart, ring(i).start)
+	}
+	// Spans are written at End time, so a span's captured descendants
+	// are exactly the records just before it, and its children are the
+	// spans on top of the stack of not-yet-parented ones that name it.
+	// The stack is threaded through the parent fields (top is its head,
+	// -1 the bottom); whatever is still on it at the end is a root.
+	top := int32(-1)
+	for i := range c.recs {
+		rec := ring(i)
+		for top >= 0 && ring(int(top)).parent == rec.id {
+			next := c.recs[top].parent
+			c.recs[top].parent = int32(i)
+			top = next
+		}
+		c.recs[i] = capRec{parent: top, name: c.intern(rec.name), arg: rec.arg,
+			start: rec.start - minStart, dur: rec.end - rec.start}
+		top = int32(i)
+	}
+	for top >= 0 {
+		top, c.recs[top].parent = c.recs[top].parent, -1
+	}
+	return c
+}
+
+// intern returns name's index in c.names, appending it if new. Traces
+// use a handful of constant span names, so a linear scan beats a map.
+func (c *Capture) intern(name string) int32 {
+	for i, n := range c.names {
+		if n == name {
+			return int32(i)
 		}
 	}
-	for _, rec := range recs {
-		n := nodes[rec.id]
-		n.StartNs = rec.start - minStart
-		if p, ok := nodes[rec.parent]; ok && rec.parent != 0 {
+	c.names = append(c.names, name)
+	return int32(len(c.names) - 1)
+}
+
+// Tree renders the capture as its span tree: the JSON GET /v1/trace
+// serves. It allocates every node and must be called off the hot path.
+func (c *Capture) Tree() *Trace {
+	if c == nil {
+		return nil
+	}
+	tr := &Trace{Dropped: c.dropped}
+	if len(c.recs) == 0 {
+		return tr
+	}
+	// Parents follow their children in recs, so link only once every
+	// node is filled in.
+	nodes := make([]Span, len(c.recs))
+	for i, rec := range c.recs {
+		nodes[i] = Span{Name: c.names[rec.name], Arg: rec.arg, StartNs: rec.start, DurNs: rec.dur}
+	}
+	for i, rec := range c.recs {
+		n := &nodes[i]
+		if rec.parent >= 0 {
+			p := &nodes[rec.parent]
 			p.Children = append(p.Children, n)
 		} else {
 			tr.Spans = append(tr.Spans, n)
 		}
 	}
 	sortSpans(tr.Spans)
-	for _, rec := range recs {
-		sortSpans(nodes[rec.id].Children)
+	for i := range nodes {
+		sortSpans(nodes[i].Children)
 	}
 	return tr
 }

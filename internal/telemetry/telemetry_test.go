@@ -79,7 +79,7 @@ func TestRecorderTree(t *testing.T) {
 	r.End()
 	r.End()
 	r.End()
-	tr := r.TraceSince(m)
+	tr := r.TraceSince(m).Tree()
 	if tr.Dropped != 0 {
 		t.Fatalf("dropped = %d, want 0", tr.Dropped)
 	}
@@ -110,7 +110,7 @@ func TestRecorderTruncation(t *testing.T) {
 		r.Begin("s", int64(i))
 		r.End()
 	}
-	tr := r.TraceSince(m)
+	tr := r.TraceSince(m).Tree()
 	if tr.Dropped != 36 {
 		t.Fatalf("dropped = %d, want 36", tr.Dropped)
 	}
@@ -130,7 +130,7 @@ func TestTraceSinceMark(t *testing.T) {
 	m := r.Mark()
 	r.Begin("new", 0)
 	r.End()
-	tr := r.TraceSince(m)
+	tr := r.TraceSince(m).Tree()
 	if len(tr.Spans) != 1 || tr.Spans[0].Name != "new" {
 		t.Fatalf("spans = %+v, want just the new one", tr.Spans)
 	}
@@ -147,7 +147,7 @@ func TestRecorderDepthOverflow(t *testing.T) {
 	for i := 0; i < maxOpenSpans+5; i++ {
 		r.End()
 	}
-	tr := r.TraceSince(m)
+	tr := r.TraceSince(m).Tree()
 	if tr.Dropped != 5 {
 		t.Fatalf("dropped = %d, want 5", tr.Dropped)
 	}
@@ -157,7 +157,7 @@ func TestRecorderDepthOverflow(t *testing.T) {
 	// After realignment the recorder still works.
 	r.Begin("after", 0)
 	r.End()
-	if tr := r.TraceSince(m); tr.Dropped != 5 {
+	if tr := r.TraceSince(m).Tree(); tr.Dropped != 5 {
 		t.Fatalf("post-recovery dropped = %d, want 5", tr.Dropped)
 	}
 }

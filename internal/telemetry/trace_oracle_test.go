@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // refTraceSince is the reference tree builder: a straight map-and-link
@@ -115,10 +116,37 @@ func TestTraceMatchesReference(t *testing.T) {
 		}
 		for _, m := range marks {
 			want := mustMarshal(t, refTraceSince(r, m))
-			got := mustMarshal(t, r.TraceSince(m))
+			got := mustMarshal(t, r.TraceSince(m).Tree())
 			if !bytes.Equal(got, want) {
 				t.Fatalf("seed %d, mark %+v: trace differs from the reference\n got  %s\n want %s", seed, m, got, want)
 			}
 		}
+	}
+}
+
+// A retained span costs one 32-byte record; the pin keeps a field added
+// to capRec from quietly doubling every cached trace.
+func TestCaptureRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(capRec{}); n > 32 {
+		t.Fatalf("capRec is %d bytes, want at most 32", n)
+	}
+}
+
+// Capturing a full ring costs a fixed handful of allocations — the
+// Capture, its records and its name table — however many spans it holds.
+func TestCaptureAllocs(t *testing.T) {
+	r := NewRecorder(1024)
+	names := []string{"op", "probe", "trial", "solve"}
+	r.Begin(names[0], 0)
+	for i := range 1023 {
+		r.Begin(names[1+i%3], int64(i))
+		r.End()
+	}
+	r.End()
+	if n := len(r.TraceSince(Mark{}).recs); n != 1024 {
+		t.Fatalf("captured %d spans, want 1024", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = r.TraceSince(Mark{}) }); n != 3 {
+		t.Fatalf("TraceSince of 1024 spans allocated %v times, want 3", n)
 	}
 }
