@@ -154,7 +154,7 @@ type capRec struct {
 }
 
 // TraceSince captures everything recorded after m. It allocates (three
-// allocations for a capture using at most eight span names) and must be
+// allocations for a capture using at most 16 span names) and must be
 // called off the hot path, on the recorder's own goroutine, after the
 // instrumented work completes. The returned Capture is immutable and
 // safe to share across goroutines.
@@ -174,7 +174,11 @@ func (r *Recorder) TraceSince(m Mark) *Capture {
 	}
 	ring := func(i int) *spanRec { return &r.ring[(lo+uint64(i))%uint64(len(r.ring))] }
 	c.recs = make([]capRec, r.next-lo)
-	c.names = make([]string, 0, 8)
+	// Intern names on the stack and keep an exact-size copy: most
+	// captures are one or two spans, where a spare name slot would cost
+	// more than the spans themselves.
+	var nameBuf [16]string
+	names := nameBuf[:0]
 	minStart := int64(1<<63 - 1)
 	for i := range c.recs {
 		minStart = min(minStart, ring(i).start)
@@ -192,26 +196,28 @@ func (r *Recorder) TraceSince(m Mark) *Capture {
 			c.recs[top].parent = int32(i)
 			top = next
 		}
-		c.recs[i] = capRec{parent: top, name: c.intern(rec.name), arg: rec.arg,
+		var name int32
+		names, name = intern(names, rec.name)
+		c.recs[i] = capRec{parent: top, name: name, arg: rec.arg,
 			start: rec.start - minStart, dur: rec.end - rec.start}
 		top = int32(i)
 	}
 	for top >= 0 {
 		top, c.recs[top].parent = c.recs[top].parent, -1
 	}
+	c.names = append([]string(nil), names...)
 	return c
 }
 
-// intern returns name's index in c.names, appending it if new. Traces
-// use a handful of constant span names, so a linear scan beats a map.
-func (c *Capture) intern(name string) int32 {
-	for i, n := range c.names {
+// intern returns names with name in it, and its index. Traces use a
+// handful of constant span names, so a linear scan beats a map.
+func intern(names []string, name string) ([]string, int32) {
+	for i, n := range names {
 		if n == name {
-			return int32(i)
+			return names, int32(i)
 		}
 	}
-	c.names = append(c.names, name)
-	return int32(len(c.names) - 1)
+	return append(names, name), int32(len(names))
 }
 
 // Tree renders the capture as its span tree: the JSON GET /v1/trace
