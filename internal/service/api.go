@@ -5,9 +5,9 @@
 // HTTP/JSON endpoints, with an async job API for the heavy sweeps.
 //
 // The core is a sharded scheduler (scheduler.go): a fixed pool of solver
-// workers, each owning a warm-state cache; requests are hashed by
-// topology-family key to a shard so related queries land on the worker
-// holding the matching warm state. Responses are deterministic — the same
+// workers, each owning a warm-state cache; a topology family is placed
+// on the least-loaded shard when first seen and stays there, so related
+// queries land on the worker holding the matching warm state. Responses are deterministic — the same
 // request yields byte-identical JSON regardless of worker count, cache
 // hits, or request interleaving — because every cached value is a pure
 // function of its cache key (DESIGN.md §10).

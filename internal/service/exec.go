@@ -30,7 +30,7 @@ import (
 //     canonical request digest;
 //   - "sim:" entries hold compiled transport instances (built topology +
 //     routing.Compiled + flowsim.Sim) keyed by the same topology-family
-//     digest the shard router hashes on, so repeated transport
+//     digest the scheduler places shards by, so repeated transport
 //     evaluate/what-if requests over one family reuse route tables and
 //     simulator scratch. Reuse is bit-identical to cold state by the
 //     simulator's and compiled router's contracts, so this tier — like

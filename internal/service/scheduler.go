@@ -19,9 +19,10 @@ import (
 // owning a warm-state cache. A topology family is placed the first time
 // it is seen on the shard with the fewest queued and running tasks, and
 // every later request for it goes to that home shard. One goroutine per
-// worker executes that shard's requests sequentially, which is what makes holding mutable warm assets
-// (capsearch.Family memoization, reusable solver chains) safe without any
-// locking: confinement, not synchronization, is the ownership story.
+// worker executes that shard's requests sequentially, which is what
+// makes holding mutable warm assets (capsearch.Family memoization,
+// reusable solver chains) safe without any locking: confinement, not
+// synchronization, is the ownership story.
 // Finished responses are the exception: they are immutable, so they live
 // in one response tier the scheduler shares across shards and serves
 // before a request ever queues.
@@ -79,7 +80,7 @@ type task struct {
 type cachedResult struct {
 	resp   []byte
 	events [][]byte
-	// trace is the spans the original execution recorded, shared by
+	// trace holds the spans the original execution recorded, shared by
 	// every hit so a cached job's /v1/trace answer matches the cold
 	// run's. Traces are diagnostics, NOT covered by the determinism
 	// guarantee (their durations are wall-clock), which is why they live

@@ -124,9 +124,9 @@ type Span struct {
 	Children []*Span `json:"children,omitempty"`
 }
 
-// A Trace is the span tree extracted between a Mark and now. Dropped
-// counts spans lost to ring overwrites or stack overflow in that window
-// — the flight-recorder truncation contract: the most recent spans are
+// A Trace is the span tree of a Capture (Capture.Tree). Dropped counts
+// spans lost to ring overwrites or stack overflow between the capture's
+// Mark and its extraction — the flight-recorder truncation contract: the most recent spans are
 // always present, the oldest go first.
 type Trace struct {
 	Spans   []*Span `json:"spans"`
