@@ -57,8 +57,9 @@ type job struct {
 	result   []byte
 	events   [][]byte
 	// trace is the execution's recorded span capture, rendered as a tree
-	// only when GET /v1/trace/{id} serves it. In-memory only: traces are wall-clock diagnostics, deliberately
-	// kept out of the durable store and the determinism guarantee.
+	// only when GET /v1/trace/{id} serves it. In-memory only: traces are
+	// wall-clock diagnostics, deliberately kept out of the durable store
+	// and the determinism guarantee.
 	trace    *telemetry.Capture
 	err      *apiError
 	created  time.Time

@@ -196,8 +196,9 @@ func newTele(workers int) *tele {
 
 // bindScheduler registers the read-out bridges over the scheduler's own
 // state (per-worker queue depth, shared response-tier and per-worker
-// cache sizes, family placements) and the scheduler's counters. Called once, right after
-// the scheduler is built; a no-op with telemetry disabled.
+// cache sizes, family placements) and the scheduler's counters. Called
+// once, right after the scheduler is built; a no-op with telemetry
+// disabled.
 func (t *tele) bindScheduler(s *scheduler) {
 	if t.reg == nil {
 		return
