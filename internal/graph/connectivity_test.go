@@ -78,3 +78,27 @@ func TestHoffmanSingletonConnectivity(t *testing.T) {
 		t.Fatalf("HS connectivity = %d, want 7", c)
 	}
 }
+
+// With warm scratch the all-pairs kernel allocates nothing, on the
+// switch subset a design reports and on all vertices.
+func TestPairsStatsIntoZeroAllocs(t *testing.T) {
+	top := topology.Jellyfish(200, 12, 8, rng.New(1))
+	var subset []int
+	for sw, count := range top.Servers {
+		if count > 0 {
+			subset = append(subset, sw)
+		}
+	}
+	var sc graph.PairsScratch
+	for _, sub := range [][]int{subset, nil} {
+		want := top.Graph.PairsStatsInto(sub, &sc)
+		allocs := testing.AllocsPerRun(10, func() {
+			if got := top.Graph.PairsStatsInto(sub, &sc); got.Pairs != want.Pairs {
+				t.Fatalf("warm call counted %d pairs, cold %d", got.Pairs, want.Pairs)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("warm PairsStatsInto (subset of %d) allocates %v per run, want 0", len(sub), allocs)
+		}
+	}
+}

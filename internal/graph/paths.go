@@ -1,5 +1,7 @@
 package graph
 
+import "math/bits"
+
 // Unreachable is the distance reported by BFS for vertices not reachable
 // from the source.
 const Unreachable = -1
@@ -11,15 +13,8 @@ func (g *Graph) BFS(src int) []int {
 	for i := range dist {
 		dist[i] = Unreachable
 	}
-	g.bfsInto(src, dist, make([]int, 0, g.N()))
-	return dist
-}
-
-// bfsInto runs BFS reusing the provided dist (must be pre-filled with
-// Unreachable) and queue buffers.
-func (g *Graph) bfsInto(src int, dist []int, queue []int) {
 	dist[src] = 0
-	queue = append(queue[:0], src)
+	queue := append(make([]int, 0, g.N()), src)
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
@@ -31,6 +26,7 @@ func (g *Graph) bfsInto(src int, dist []int, queue []int) {
 			}
 		}
 	}
+	return dist
 }
 
 // PathStats summarizes the all-pairs shortest path structure of a graph.
@@ -63,8 +59,9 @@ func (g *Graph) AllPairsStats() PathStats {
 }
 
 // PairsStats aggregates shortest-path statistics over ordered pairs (u,v)
-// with u,v in subset (all vertices if subset is nil) and u != v. This is
-// used to measure switch-to-switch and server-to-server path lengths.
+// with u,v in subset (all vertices if subset is nil) and u != v; a vertex
+// listed k times counts k times at either end. This is used to measure
+// switch-to-switch and server-to-server path lengths.
 func (g *Graph) PairsStats(subset []int) PathStats {
 	var sc PairsScratch
 	return g.PairsStatsInto(subset, &sc)
@@ -74,10 +71,13 @@ func (g *Graph) PairsStats(subset []int) PathStats {
 // The zero value is ready to use; buffers grow to the largest graph seen
 // and are reused across calls. Not safe for concurrent use.
 type PairsScratch struct {
-	dist    []int
-	queue   []int
-	sources []int
-	hist    []int64
+	// One word per vertex, bit i standing for the pass's i-th source:
+	// the sources that have reached the vertex, those that reached it at
+	// the current level, and those reaching it at the next.
+	seen, visit, next []uint64
+	weight            []int64 // times the subset lists each vertex
+	frontier, reached []int32 // vertices with a nonzero visit / next word
+	hist              []int64
 }
 
 // PairsStatsInto is PairsStats with caller-owned scratch: repeated calls
@@ -86,51 +86,103 @@ type PairsScratch struct {
 // the next call with the same scratch — copy it to retain.
 func (g *Graph) PairsStatsInto(subset []int, sc *PairsScratch) PathStats {
 	n := g.N()
-	sources := subset
-	if sources == nil {
-		sc.sources = sc.sources[:0]
-		for i := 0; i < n; i++ {
-			sc.sources = append(sc.sources, i)
-		}
-		sources = sc.sources
+	if cap(sc.seen) < n {
+		sc.seen, sc.visit, sc.next = make([]uint64, n), make([]uint64, n), make([]uint64, n)
+		sc.weight, sc.hist = make([]int64, n), make([]int64, n)
+		sc.frontier, sc.reached = make([]int32, n), make([]int32, n)
 	}
-	stats := PathStats{Connected: true, Hist: sc.hist[:0]}
-	var sum int64
-	if cap(sc.dist) < n {
-		sc.dist = make([]int, n)
-		sc.queue = make([]int, 0, n)
-	}
-	dist, queue := sc.dist[:n], sc.queue[:0]
-	for _, src := range sources {
-		for i := range dist {
-			dist[i] = Unreachable
+	// A listed vertex weighs as often as it is listed, both as a source
+	// and as a target; a vertex is never paired with itself.
+	weight := sc.weight[:n]
+	sources := len(subset)
+	if subset == nil {
+		sources = n
+		for v := range weight {
+			weight[v] = 1
 		}
-		g.bfsInto(src, dist, queue)
-		for _, v := range sources {
-			if v == src {
-				continue
-			}
-			d := dist[v]
-			if d == Unreachable {
-				stats.Connected = false
-				continue
-			}
-			for d >= len(stats.Hist) {
-				stats.Hist = append(stats.Hist, 0)
-			}
-			stats.Hist[d]++
-			sum += int64(d)
-			stats.Pairs++
-			if d > stats.Diameter {
-				stats.Diameter = d
-			}
+	} else {
+		clear(weight)
+		for _, v := range subset {
+			weight[v]++
 		}
 	}
-	if stats.Pairs > 0 {
-		stats.Mean = float64(sum) / float64(stats.Pairs)
+	want := int64(sources) * int64(sources)
+	for _, w := range weight {
+		want -= w * w
 	}
-	sc.hist = stats.Hist // keep any growth for the next call
+	clear(sc.hist[:n])
+	diameter, sum, pairs := g.pairsHist(subset, sources, sc)
+	stats := PathStats{Diameter: diameter, Pairs: pairs, Connected: pairs == want, Hist: sc.hist[:0]}
+	if pairs > 0 {
+		stats.Hist = sc.hist[:diameter+1]
+		stats.Mean = float64(sum) / float64(pairs)
+	}
 	return stats
+}
+
+// pairsHist is the multi-source BFS kernel of PairsStatsInto (MS-BFS,
+// Then et al., PVLDB 2014): each pass runs 64 sources' searches at once
+// with one word per vertex, expanding only the vertices on the current
+// frontier, so a pass does no more work than its 64 searches would one
+// at a time. Source i is subset[i], or vertex i if subset is nil. At
+// each level d it adds weight[v]·popcount(next[v]) to hist[d] for every
+// vertex v reached, and it returns the largest d counted with the sum
+// and total of the counts. hist must be zero on entry, and seen, visit
+// and next hold no set bit between calls.
+//
+//jellyvet:hotpath
+func (g *Graph) pairsHist(subset []int, sources int, sc *PairsScratch) (diameter int, sum, pairs int64) {
+	n := g.N()
+	seen, visit, next := sc.seen[:n], sc.visit[:n], sc.next[:n]
+	weight, hist := sc.weight[:n], sc.hist[:n]
+	frontier, reached := sc.frontier[:n], sc.reached[:n]
+	for base := 0; base < sources; base += 64 {
+		clear(seen)
+		nf := 0
+		for i := 0; i < 64 && base+i < sources; i++ {
+			s := base + i
+			if subset != nil {
+				s = subset[s]
+			}
+			if visit[s] == 0 {
+				frontier[nf] = int32(s)
+				nf++
+			}
+			seen[s] |= 1 << i
+			visit[s] |= 1 << i
+		}
+		for d := 1; nf > 0; d++ {
+			nr := 0
+			for _, u := range frontier[:nf] {
+				x := visit[u]
+				visit[u] = 0
+				for _, v := range g.adj[u] {
+					if nb := x &^ seen[v]; nb != 0 {
+						if next[v] == 0 {
+							reached[nr] = int32(v)
+							nr++
+						}
+						next[v] |= nb
+						seen[v] |= nb
+					}
+				}
+			}
+			var count int64
+			for _, v := range reached[:nr] {
+				count += weight[v] * int64(bits.OnesCount64(next[v]))
+				visit[v], next[v] = next[v], 0
+			}
+			if count > 0 {
+				hist[d] += count
+				sum += int64(d) * count
+				pairs += count
+				diameter = max(diameter, d)
+			}
+			frontier, reached = reached, frontier
+			nf = nr
+		}
+	}
+	return diameter, sum, pairs
 }
 
 // Diameter returns the maximum eccentricity over all vertices
