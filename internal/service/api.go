@@ -125,13 +125,9 @@ func (ts *TopologySpec) materialize() (materialized, *apiError) {
 		if top.NumSwitches() == 0 {
 			return materialized{}, badRequest("invalid_blueprint", "blueprint describes no switches")
 		}
-		canon, aerr := canonicalBlueprint(top)
-		if aerr != nil {
-			return materialized{}, aerr
-		}
-		ts.Blueprint = canon
+		ts.Blueprint = canonicalBlueprint(top)
 		return materialized{
-			digest:  "b:" + digest(canon),
+			digest:  "b:" + digest(ts.Blueprint),
 			servers: top.NumServers(),
 			build:   func() *jellyfish.Topology { return top },
 		}, nil
@@ -140,17 +136,12 @@ func (ts *TopologySpec) materialize() (materialized, *apiError) {
 	}
 }
 
-// canonicalBlueprint serializes a topology to compact canonical JSON.
-func canonicalBlueprint(top *jellyfish.Topology) (json.RawMessage, *apiError) {
-	var buf bytes.Buffer
-	if err := jellyfish.WriteBlueprint(top, &buf); err != nil {
-		return nil, &apiError{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
-	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, buf.Bytes()); err != nil {
-		return nil, &apiError{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
-	}
-	return compact.Bytes(), nil
+// canonicalBlueprint is a topology's blueprint in canonical form, the
+// compact document the topology package's one blueprint encoder
+// (AppendBlueprint) writes: /v1/design returns these bytes, and an
+// inline blueprint is replaced by them before it is digested.
+func canonicalBlueprint(top *jellyfish.Topology) json.RawMessage {
+	return top.AppendBlueprint(nil)
 }
 
 // DesignResponse reports a constructed topology with its headline

@@ -111,10 +111,7 @@ func planDesign(spec *DesignSpec) (*plan, *apiError) {
 		key:    "design:" + digest(canon),
 		run: func(ctx context.Context, w *worker) (any, error) {
 			top := mat.build()
-			bp, aerr := canonicalBlueprint(top)
-			if aerr != nil {
-				return nil, aerr
-			}
+			bp := canonicalBlueprint(top)
 			stats := top.SwitchPathStats()
 			return &DesignResponse{
 				Switches:  top.NumSwitches(),

@@ -1,16 +1,19 @@
 package topology
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"jellyfish/internal/graph"
 )
 
 // blueprint is the stable on-disk representation of a Topology: the
 // construction blueprint handed to cabling crews (§6.1 envisions exactly
-// this artifact being generated automatically and wired by hand).
+// this artifact being generated automatically and wired by hand). The
+// decoder reads it; AppendBlueprint writes the same document by hand.
 type blueprint struct {
 	Name    string   `json:"name"`
 	Ports   []int    `json:"ports"`
@@ -18,20 +21,63 @@ type blueprint struct {
 	Links   [][2]int `json:"links"`
 }
 
-// WriteBlueprint serializes the topology as JSON.
+// AppendBlueprint appends the topology's blueprint to dst as compact
+// JSON and returns the extended slice. This is the canonical byte form:
+// exactly what encoding/json writes for the blueprint document, HTML
+// escaping included, with nil Ports or Servers as null and the links in
+// Graph.Edges order.
+func (t *Topology) AppendBlueprint(dst []byte) []byte {
+	name, _ := json.Marshal(t.Name) // a string always marshals
+	dst = append(append(append(dst, `{"name":`...), name...), `,"ports":`...)
+	dst = appendInts(dst, t.Ports)
+	dst = append(dst, `,"servers":`...)
+	dst = appendInts(dst, t.Servers)
+	dst = append(dst, `,"links":[`...)
+	first := true
+	for u := 0; u < t.Graph.N(); u++ {
+		for _, v := range t.Graph.Neighbors(u) {
+			if v < u {
+				continue
+			}
+			if !first {
+				dst = append(dst, ',')
+			}
+			first = false
+			dst = append(dst, '[')
+			dst = strconv.AppendInt(dst, int64(u), 10)
+			dst = append(dst, ',')
+			dst = strconv.AppendInt(dst, int64(v), 10)
+			dst = append(dst, ']')
+		}
+	}
+	return append(dst, "]}"...)
+}
+
+// appendInts appends xs as a JSON array, or null if xs is nil.
+func appendInts(dst []byte, xs []int) []byte {
+	if xs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return append(dst, ']')
+}
+
+// WriteBlueprint serializes the topology as indented JSON: the
+// AppendBlueprint document, indented two spaces, plus a newline.
 func (t *Topology) WriteBlueprint(w io.Writer) error {
-	bp := blueprint{
-		Name:    t.Name,
-		Ports:   t.Ports,
-		Servers: t.Servers,
-		Links:   make([][2]int, 0, t.Graph.M()),
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, t.AppendBlueprint(nil), "", "  "); err != nil {
+		return err
 	}
-	for _, e := range t.Graph.Edges() {
-		bp.Links = append(bp.Links, [2]int{e.U, e.V})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(bp)
+	buf.WriteByte('\n')
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 // ReadBlueprint deserializes a topology written by WriteBlueprint,

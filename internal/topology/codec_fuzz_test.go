@@ -9,7 +9,8 @@ import (
 
 // FuzzReadBlueprint drives the decoder with arbitrary bytes: it must never
 // panic, and anything it accepts must be a valid topology that re-encodes
-// to a decodable, structurally identical blueprint.
+// to a decodable, structurally identical blueprint, through an encoder
+// that writes encoding/json's bytes.
 func FuzzReadBlueprint(f *testing.F) {
 	// Seed corpus: real blueprints of each constructor family plus the
 	// rejection cases the unit tests pin.
@@ -33,6 +34,9 @@ func FuzzReadBlueprint(f *testing.F) {
 		`{"ports":[1,4,4],"servers":[1,1,1],"links":[[0,1],[0,2]]}`,
 		`{"name":"x","ports":[-1],"servers":[-1],"links":[]}`,
 		`{"ports":[],"servers":[],"links":[[0,0]]}`,
+		`{"name":"<a&b>\u2028\u2029\"\\\/\u0001\t","ports":[2,2],"servers":[1,1],"links":[[0,1]]}`,
+		"{\"name\":\"\xff\xfe\u2028 \\ud800\",\"ports\":[],\"servers\":[],\"links\":[]}",
+		`{"name":"x","ports":null,"servers":null,"links":null}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -44,6 +48,7 @@ func FuzzReadBlueprint(f *testing.F) {
 		if verr := top.Validate(); verr != nil {
 			t.Fatalf("decoder accepted an invalid topology: %v", verr)
 		}
+		checkBlueprintEncoding(t, top)
 		var buf bytes.Buffer
 		if werr := top.WriteBlueprint(&buf); werr != nil {
 			t.Fatalf("accepted topology failed to re-encode: %v", werr)

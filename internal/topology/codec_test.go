@@ -2,11 +2,85 @@ package topology
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"jellyfish/internal/graph"
 	"jellyfish/internal/rng"
 )
+
+// reflectBlueprint is the reflection encoder AppendBlueprint replaces,
+// kept as its oracle: the blueprint document built field by field and
+// handed to encoding/json.
+func reflectBlueprint(t *Topology) blueprint {
+	bp := blueprint{Name: t.Name, Ports: t.Ports, Servers: t.Servers, Links: make([][2]int, 0, t.Graph.M())}
+	for _, e := range t.Graph.Edges() {
+		bp.Links = append(bp.Links, [2]int{e.U, e.V})
+	}
+	return bp
+}
+
+// checkBlueprintEncoding fails unless AppendBlueprint writes exactly
+// json.Marshal's bytes for the document and WriteBlueprint writes
+// exactly what an indenting json.Encoder does, which is the compact
+// form passed through json.Indent plus a newline.
+func checkBlueprintEncoding(t *testing.T, top *Topology) {
+	t.Helper()
+	want, err := json.Marshal(reflectBlueprint(top))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := top.AppendBlueprint([]byte("prefix"))
+	if !bytes.Equal(got[len("prefix"):], want) || string(got[:len("prefix")]) != "prefix" {
+		t.Fatalf("AppendBlueprint:\n%q\njson.Marshal:\n%q", got, want)
+	}
+	var indented bytes.Buffer
+	enc := json.NewEncoder(&indented)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(reflectBlueprint(top)); err != nil {
+		t.Fatal(err)
+	}
+	var viaIndent bytes.Buffer
+	if err := json.Indent(&viaIndent, want, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	viaIndent.WriteByte('\n')
+	var written bytes.Buffer
+	if err := top.WriteBlueprint(&written); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written.Bytes(), indented.Bytes()) || !bytes.Equal(written.Bytes(), viaIndent.Bytes()) {
+		t.Fatalf("WriteBlueprint:\n%q\nindenting encoder:\n%q\nIndent(compact)+newline:\n%q",
+			written.Bytes(), indented.Bytes(), viaIndent.Bytes())
+	}
+}
+
+// The hand-written blueprint encoder against encoding/json, on each
+// constructor family and on the corners a decoder never produces: nil
+// Ports and Servers, no switches, no links, and names that need every
+// kind of escape, invalid UTF-8 included.
+func TestBlueprintEncoderMatchesReflection(t *testing.T) {
+	tops := []*Topology{
+		Jellyfish(25, 10, 6, rng.New(1)),
+		JellyfishHeterogeneous([]int{8, 8, 16, 16}, []int{2, 2, 4, 4}, rng.New(2)),
+		FatTree(4),
+		{Name: "empty", Graph: graph.New(0)},
+		{Name: "no links", Graph: graph.New(3), Ports: []int{2, 2, 2}},
+		{Graph: graph.New(2), Ports: []int{}, Servers: []int{}},
+	}
+	for _, name := range []string{
+		"<fab&row>", "\u2028\u2029", "\xff\xfe invalid", `"quoted" \ back/slash`,
+		"\x00\x01\t\n\r\x1f\x7f", "ünïcødé ✓", "\xed\xa0\x80 surrogate",
+	} {
+		top := Jellyfish(6, 4, 2, rng.New(3))
+		top.Name = name
+		tops = append(tops, top)
+	}
+	for _, top := range tops {
+		checkBlueprintEncoding(t, top)
+	}
+}
 
 func TestBlueprintRoundTrip(t *testing.T) {
 	orig := Jellyfish(25, 10, 6, rng.New(1))
