@@ -176,8 +176,27 @@ func (s *Store) PutBlob(b []byte) (string, error) {
 	return d, nil
 }
 
-// GetBlob returns the bytes stored under digest d.
+// isDigest reports whether d has the form Digest returns: 32 lowercase
+// hex digits. Blob names come back from snapshots and journal records,
+// so only this form may become a path under the blob directory.
+func isDigest(d string) bool {
+	if len(d) != 32 {
+		return false
+	}
+	for _, c := range []byte(d) {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// GetBlob returns the bytes stored under digest d. A d not of the form
+// Digest returns is an error.
 func (s *Store) GetBlob(d string) ([]byte, error) {
+	if !isDigest(d) {
+		return nil, fmt.Errorf("persist: reading blob %q: not a blob digest", d)
+	}
 	b, err := os.ReadFile(filepath.Join(s.dir, blobDirName, d))
 	if err != nil {
 		return nil, fmt.Errorf("persist: reading blob %s: %w", d, err)
@@ -185,7 +204,8 @@ func (s *Store) GetBlob(d string) ([]byte, error) {
 	return b, nil
 }
 
-// Blobs lists the stored blob digests in sorted order.
+// Blobs lists the stored blob digests in sorted order, skipping any
+// other file in the blob directory (such as an unfinished write).
 func (s *Store) Blobs() ([]string, error) {
 	ents, err := os.ReadDir(filepath.Join(s.dir, blobDirName))
 	if err != nil {
@@ -193,7 +213,7 @@ func (s *Store) Blobs() ([]string, error) {
 	}
 	var out []string
 	for _, e := range ents {
-		if !e.IsDir() && filepath.Ext(e.Name()) != ".tmp" {
+		if !e.IsDir() && isDigest(e.Name()) {
 			out = append(out, e.Name())
 		}
 	}
@@ -203,8 +223,11 @@ func (s *Store) Blobs() ([]string, error) {
 
 // RemoveBlob deletes the blob stored under digest d (garbage collection
 // after its last referencing job is evicted). Removing a missing blob
-// is not an error.
+// is not an error; a d not of the form Digest returns is.
 func (s *Store) RemoveBlob(d string) error {
+	if !isDigest(d) {
+		return fmt.Errorf("persist: removing blob %q: not a blob digest", d)
+	}
 	err := os.Remove(filepath.Join(s.dir, blobDirName, d))
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("persist: removing blob %s: %w", d, err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -252,5 +253,43 @@ func TestStoreBlobs(t *testing.T) {
 	}
 	if _, err := st.GetBlob(d3); err == nil {
 		t.Fatal("removed blob still readable")
+	}
+}
+
+// Blob names come back from snapshots and journal records: any name not
+// of Digest's form is refused before it becomes a path, so a recorded
+// "../../outside.txt" cannot read or delete a file outside the store,
+// and stray files in the blob directory are not listed as blobs.
+func TestStoreRefusesNonDigestBlobNames(t *testing.T) {
+	root := t.TempDir()
+	outside := filepath.Join(root, "outside.txt")
+	if err := os.WriteFile(outside, []byte("not a blob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := Open(filepath.Join(root, "state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	d, err := st.PutBlob([]byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "state", "blobs", "stray.tmp"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"../../outside.txt", "", "stray.tmp", strings.ToUpper(d), d + "0", d[:31] + "g"} {
+		if b, err := st.GetBlob(name); err == nil {
+			t.Errorf("GetBlob(%q) = %q, want an error", name, b)
+		}
+		if err := st.RemoveBlob(name); err == nil {
+			t.Errorf("RemoveBlob(%q) succeeded, want an error", name)
+		}
+	}
+	if _, err := os.Stat(outside); err != nil {
+		t.Fatalf("the file outside the store is gone: %v", err)
+	}
+	if names, err := st.Blobs(); err != nil || len(names) != 1 || names[0] != d {
+		t.Fatalf("Blobs = %v, %v; want [%s]", names, err, d)
 	}
 }

@@ -256,6 +256,37 @@ func TestCorruptStoreRefusesToStart(t *testing.T) {
 	}
 }
 
+// outsideBlobSnapshot is a snapshot whose finished job names a result
+// blob outside the state directory's blobs/.
+const outsideBlobSnapshot = `{"seq":1,"jobs":[{"id":"j000001","type":"capacity-search",` +
+	`"request":{"switches":16,"ports":6,"trials":1,"seed":11},"status":"succeeded",` +
+	`"resultDigest":"../../outside.txt"}]}`
+
+// A recovered record's blob digests become paths, so recovery refuses a
+// record whose digest is not one: the daemon fails to start rather than
+// serve a file from outside its store as a job's result.
+func TestRecoveryRefusesBlobOutsideStore(t *testing.T) {
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "outside.txt"), []byte(`{"outside":true}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "state")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(outsideBlobSnapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Options{Workers: 1, StateDir: dir})
+	if err == nil {
+		srv.Close()
+		t.Fatal("New recovered a job whose result blob lies outside the store; want a refusal")
+	}
+	if !strings.Contains(err.Error(), "not a blob digest") {
+		t.Fatalf("New failed with %v; want the digest refusal", err)
+	}
+}
+
 func TestSnapshotCompactsJournalAndCollectsBlobs(t *testing.T) {
 	dir := t.TempDir()
 	// SnapshotEvery=1: every record triggers a snapshot, so the journal

@@ -64,6 +64,7 @@ func FuzzSnapshotDoc(f *testing.F) {
 	f.Add(state.Snapshot)
 	f.Add([]byte(`{"seq":2,"jobs":[{"id":"j000001","type":"design","request":{}},{"id":"j000001","type":"design","request":{}}]}`))
 	f.Add([]byte(`{"seq":1,"evicted":["j000009"],"jobs":[{"id":"j000001","status":"succeeded","created":"x"}]}`))
+	f.Add([]byte(outsideBlobSnapshot))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		views, err := recoverSnapshot(data)
