@@ -127,8 +127,8 @@ func (g *Graph) PairsStatsInto(subset []int, sc *PairsScratch) PathStats {
 // at a time. Source i is subset[i], or vertex i if subset is nil. At
 // each level d it adds weight[v]·popcount(next[v]) to hist[d] for every
 // vertex v reached, and it returns the largest d counted with the sum
-// and total of the counts. hist must be zero on entry, and seen, visit
-// and next hold no set bit between calls.
+// and total of the counts. hist must be zero on entry; visit and next
+// end every pass, and so every call, with no bit set.
 //
 //jellyvet:hotpath
 func (g *Graph) pairsHist(subset []int, sources int, sc *PairsScratch) (diameter int, sum, pairs int64) {
