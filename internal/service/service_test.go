@@ -162,6 +162,61 @@ func TestEvaluateAcceptsBlueprint(t *testing.T) {
 	}
 }
 
+// Inline blueprints that differ only in whitespace share a plan key: the
+// indented file form misses, and the compact form of the same document
+// is then a response-tier hit with the same bytes.
+func TestBlueprintWhitespaceSharesResponse(t *testing.T) {
+	ts, srv := newTestServer(t, Options{Workers: 2})
+	top := jellyfish.New(jellyfish.Config{Switches: 12, Ports: 6, NetworkDegree: 4, Seed: 2})
+	var indented, compact bytes.Buffer
+	if err := jellyfish.WriteBlueprint(top, &indented); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&compact, indented.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(indented.Bytes(), compact.Bytes()) {
+		t.Fatal("the two blueprint forms are the same bytes")
+	}
+	first := mustPost(t, ts.URL+"/v1/evaluate", fmt.Sprintf(`{"topology":{"blueprint":%s},"seed":4}`, indented.Bytes()))
+	hits, misses := tierHits(srv, tierResp), tierMisses(srv, tierResp)
+	second := mustPost(t, ts.URL+"/v1/evaluate", fmt.Sprintf(`{"topology": {"blueprint": %s}, "seed": 4}`, compact.Bytes()))
+	if !bytes.Equal(first, second) {
+		t.Fatalf("whitespace changed the response:\n%s\n%s", first, second)
+	}
+	if h, m := tierHits(srv, tierResp)-hits, tierMisses(srv, tierResp)-misses; h != 1 || m != 0 {
+		t.Fatalf("second request counted %d response-tier hits and %d misses, want 1 and 0", h, m)
+	}
+}
+
+// A bad inline blueprint's 400 carries the blueprint decoder's error
+// text verbatim, on every route that accepts one.
+func TestBlueprintErrorMessages(t *testing.T) {
+	ts, _ := newTestServer(t, Options{Workers: 1})
+	design := `{"design":{"switches":4,"ports":4,"networkDegree":2,"seed":1}}`
+	cases := []struct{ path, body, msg string }{
+		{"/v1/evaluate", `{"topology":{"blueprint":{"ports":"x"}},"seed":1}`,
+			"topology: decoding blueprint: json: cannot unmarshal string into Go struct field blueprint.ports of type []int"},
+		{"/v1/evaluate", `{"topology":{"blueprint":{"ports":[4,4],"servers":[1,1],"links":[[0,1],[0,2]]}},"seed":1}`,
+			"topology: blueprint link 1 (0,2) out of range [0,2)"},
+		{"/v1/whatif", `{"base":{"blueprint":{"ports":[1.5],"servers":[1],"links":[]}},"seed":1,"scenarios":[]}`,
+			"topology: decoding blueprint: json: cannot unmarshal number 1.5 into Go struct field blueprint.ports of type int"},
+		{"/v1/rewire-plan", `{"before":` + design + `,"after":{"blueprint":{"ports":[4,4],"servers":[1,1],"links":[[1,1]]}}}`,
+			"topology: blueprint link 0 is a self-loop at 1"},
+	}
+	for _, tc := range cases {
+		status, body := doPost(t, ts.URL+tc.path, tc.body)
+		var eb errorBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == nil {
+			t.Fatalf("%s %s: status %d, unparseable error body %s", tc.path, tc.body, status, body)
+		}
+		if status != http.StatusBadRequest || eb.Error.Code != "invalid_blueprint" || eb.Error.Message != tc.msg {
+			t.Errorf("%s %s: status %d code %q message %q, want 400 invalid_blueprint %q",
+				tc.path, tc.body, status, eb.Error.Code, eb.Error.Message, tc.msg)
+		}
+	}
+}
+
 func TestCapacitySearchMatchesLibrary(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Workers: 2})
 	body := mustPost(t, ts.URL+"/v1/capacity-search",

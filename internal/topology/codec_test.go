@@ -3,6 +3,7 @@ package topology
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -161,6 +162,80 @@ func TestReadBlueprintRejectsGarbage(t *testing.T) {
 	for name, in := range cases {
 		if _, err := ReadBlueprint(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: no error", name)
+		}
+	}
+}
+
+// readBlueprintString runs the blueprint decoder on an in-memory
+// document.
+func readBlueprintString(s string) (*Topology, error) {
+	return ReadBlueprint(strings.NewReader(s))
+}
+
+// The decoder's error texts reach clients verbatim (jellyfishd's 400
+// bodies), so each one is pinned, as is what the decoder makes of every
+// input encoding/json accepts that a strict grammar would not.
+func TestReadBlueprintErrorTexts(t *testing.T) {
+	const pre = "topology: decoding blueprint: "
+	rejected := []struct{ in, err string }{
+		{``, pre + "EOF"},
+		{`{"ports":[4,4`, pre + "unexpected EOF"},
+		{`{"name":5}`, pre + "json: cannot unmarshal number into Go struct field blueprint.name of type string"},
+		{`{"ports":[true]}`, pre + "json: cannot unmarshal bool into Go struct field blueprint.ports of type int"},
+		{`{"links":[["a",1]]}`, pre + "json: cannot unmarshal string into Go struct field blueprint.links of type int"},
+		{`{"links":[0,1]}`, pre + "json: cannot unmarshal number into Go struct field blueprint.links of type [2]int"},
+		{`{"ports":[1.0]}`, pre + "json: cannot unmarshal number 1.0 into Go struct field blueprint.ports of type int"},
+		{`{"ports":[1e2]}`, pre + "json: cannot unmarshal number 1e2 into Go struct field blueprint.ports of type int"},
+		{`{"ports":[01]}`, pre + "invalid character '1' after array element"},
+		{`{"ports":[-01]}`, pre + "invalid character '1' after array element"},
+		{`{"ports":[12345678901234567890]}`, pre + "json: cannot unmarshal number 12345678901234567890 into Go struct field blueprint.ports of type int"},
+		{`{"ports":"x"}`, pre + "json: cannot unmarshal string into Go struct field blueprint.ports of type []int"},
+		{`[1,2]`, pre + "json: cannot unmarshal array into Go value of type topology.blueprint"},
+		{`{"ports":[4,4],"servers":[1],"links":[]}`, "topology: blueprint has 2 port entries but 1 server entries"},
+		{`{"ports":[4,4],"servers":[1,1],"links":[[0,1],[0,5]]}`, "topology: blueprint link 1 (0,5) out of range [0,2)"},
+		{`{"ports":[4,4],"servers":[1,1],"links":[[0,1],[-1,0]]}`, "topology: blueprint link 1 (-1,0) out of range [0,2)"},
+		{`{"ports":[4,4,4],"servers":[1,1,1],"links":[[0,1],[2,2]]}`, "topology: blueprint link 1 is a self-loop at 2"},
+		{`{"ports":[4,4,4],"servers":[1,1,1],"links":[[0,1],[1,2],[2,1]]}`, "topology: blueprint link 2 (2,1) duplicated"},
+		{`{"ports":[1,4,4],"servers":[1,1,1],"links":[[0,1],[0,2]]}`, `topology "": switch 0 uses 3 ports, budget 1`},
+		{`{"name":"x","ports":[-1],"servers":[-1],"links":[]}`, `topology "x": switch 0 has negative servers`},
+	}
+	for _, tc := range rejected {
+		top, err := readBlueprintString(tc.in)
+		if err == nil {
+			t.Errorf("%q: accepted as %v, want error %q", tc.in, top, tc.err)
+		} else if err.Error() != tc.err {
+			t.Errorf("%q: error %q, want %q", tc.in, err.Error(), tc.err)
+		}
+	}
+	none, one := []graph.Edge{}, []graph.Edge{{U: 0, V: 1}}
+	accepted := []struct {
+		in             string
+		name           string
+		ports, servers []int
+		edges          []graph.Edge
+	}{
+		{`{"ports":[2,2],"servers":[1,1],"links":[[0,1]]} trailing`, "", []int{2, 2}, []int{1, 1}, one},
+		{`{"ports":[2,2],"servers":[1,1],"links":[[0,1]]}]`, "", []int{2, 2}, []int{1, 1}, one},
+		{`{"extra":{"a":[1]},"ports":[2,2],"servers":[1,1],"links":[[0,1]]}`, "", []int{2, 2}, []int{1, 1}, one},
+		{`{"Ports":[2,2],"SERVERS":[1,1],"Links":[[0,1]],"NAME":"up"}`, "up", []int{2, 2}, []int{1, 1}, one},
+		{`{"ports":[9,9,9],"ports":[2,2],"servers":[1,1],"links":[[0,1]],"links":null}`, "", []int{2, 2}, []int{1, 1}, none},
+		{`{"ports":[2,2],"servers":[1,1],"links":[[0,1,7]]}`, "", []int{2, 2}, []int{1, 1}, one},
+		{`{"ports":[2,2],"servers":[1,1],"links":[[1]]}`, "", []int{2, 2}, []int{1, 1}, one},
+		{`null`, "", nil, nil, none},
+		{`{"name":null,"ports":null,"servers":null,"links":null}`, "", nil, nil, none},
+		{`{"ports":[2,2],"servers":[-0,1],"links":[[-0,1]]}`, "", []int{2, 2}, []int{0, 1}, one},
+		{`{"name":"n\u00e9\t\"q\"","ports":[],"servers":[],"links":[]}`, "n\u00e9\t\"q\"", []int{}, []int{}, none},
+	}
+	for _, tc := range accepted {
+		top, err := readBlueprintString(tc.in)
+		if err != nil {
+			t.Errorf("%q: %v", tc.in, err)
+			continue
+		}
+		if top.Name != tc.name || !reflect.DeepEqual(top.Ports, tc.ports) || !reflect.DeepEqual(top.Servers, tc.servers) ||
+			!reflect.DeepEqual(top.Graph.Edges(), tc.edges) {
+			t.Errorf("%q: decoded name %q ports %#v servers %#v edges %v, want %q %#v %#v %v",
+				tc.in, top.Name, top.Ports, top.Servers, top.Graph.Edges(), tc.name, tc.ports, tc.servers, tc.edges)
 		}
 	}
 }
