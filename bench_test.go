@@ -8,6 +8,7 @@ package jellyfish
 // runtime) are visible.
 
 import (
+	"bytes"
 	"context"
 	"strconv"
 	"strings"
@@ -381,6 +382,22 @@ func BenchmarkMeanPathLength(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MeanPathLength(net)
+	}
+}
+
+// BenchmarkReadBlueprint decodes a blueprint of the shape jellyfishd
+// receives inline in the benchmark's hot workload: 200 switches, 12
+// ports, network degree 8, in WriteBlueprint's indented form (~30 KB).
+func BenchmarkReadBlueprint(b *testing.B) {
+	var bp bytes.Buffer
+	if err := WriteBlueprint(New(Config{Switches: 200, Ports: 12, NetworkDegree: 8, Seed: 1}), &bp); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadBlueprint(bytes.NewReader(bp.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -23,6 +22,7 @@ import (
 
 	"jellyfish"
 	"jellyfish/internal/telemetry"
+	"jellyfish/internal/topology"
 )
 
 // An apiError is an error with an HTTP mapping; executors return it for
@@ -118,7 +118,7 @@ func (ts *TopologySpec) materialize() (materialized, *apiError) {
 			build:   func() *jellyfish.Topology { return jellyfish.New(cfg) },
 		}, nil
 	case ts.Blueprint != nil && ts.Design == nil:
-		top, err := jellyfish.ReadBlueprint(bytes.NewReader(ts.Blueprint))
+		top, err := topology.ParseBlueprint(ts.Blueprint)
 		if err != nil {
 			return materialized{}, badRequest("invalid_blueprint", "%v", err)
 		}
@@ -134,6 +134,17 @@ func (ts *TopologySpec) materialize() (materialized, *apiError) {
 	default:
 		return materialized{}, badRequest("invalid_topology", "specify exactly one of \"design\" or \"blueprint\"")
 	}
+}
+
+// keyed returns the spec as plan keys hash it. An inline blueprint,
+// already parsed and digested by materialize, stands in as the JSON
+// string of its digest ("b:<hex>"), so building a key does not re-scan
+// the document; identical canonical blueprints still share a key.
+func (ts TopologySpec) keyed(mat materialized) TopologySpec {
+	if ts.Blueprint != nil {
+		ts.Blueprint = json.RawMessage(`"` + mat.digest + `"`)
+	}
+	return ts
 }
 
 // canonicalBlueprint is a topology's blueprint in canonical form, the

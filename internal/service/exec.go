@@ -231,7 +231,9 @@ func planEvaluate(req *EvaluateRequest) (*plan, *apiError) {
 	if mat.servers == 0 {
 		return nil, badRequest("invalid_topology", "topology has no servers; throughput is undefined")
 	}
-	canon := mustJSON(req) // materialize canonicalized inline blueprints
+	keyReq := *req
+	keyReq.Topology = req.Topology.keyed(mat)
+	canon := mustJSON(&keyReq)
 	return &plan{
 		family: mat.digest,
 		key:    "evaluate:" + digest(canon),
@@ -402,7 +404,9 @@ func planWhatIf(req *WhatIfRequest) (*plan, *apiError) {
 			return nil, aerr
 		}
 	}
-	canon := mustJSON(req)
+	keyReq := *req
+	keyReq.Base = req.Base.keyed(mat)
+	canon := mustJSON(&keyReq)
 	keys := chainKeys(mat.digest, req.Seed, req.Transport.cacheKey(), req.Scenarios)
 	return &plan{
 		family: mat.digest,
@@ -513,7 +517,7 @@ func planRewire(req *RewireRequest) (*plan, *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	canon := mustJSON(req)
+	canon := mustJSON(&RewireRequest{Before: req.Before.keyed(matBefore), After: req.After.keyed(matAfter)})
 	return &plan{
 		family: matBefore.digest,
 		key:    "rewire:" + digest(canon),

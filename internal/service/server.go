@@ -293,8 +293,9 @@ func decodeStrict(data []byte, v any) *apiError {
 	if err := dec.Decode(v); err != nil {
 		return badRequest("invalid_json", "%v", err)
 	}
-	// A second document in the body is a client bug too.
-	if dec.More() {
+	// A second document, or any other non-whitespace after the first,
+	// is a client bug too.
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
 		return badRequest("invalid_json", "trailing data after request document")
 	}
 	return nil

@@ -367,6 +367,35 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// Anything but whitespace after the request document is rejected, stray
+// closing delimiters included, on sync routes and job submissions alike;
+// trailing whitespace is not.
+func TestTrailingDataRejected(t *testing.T) {
+	ts, _ := newTestServer(t, Options{Workers: 1})
+	design := `{"switches":6,"ports":4,"networkDegree":2,"seed":1}`
+	job := `{"type":"design","request":` + design + `}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/design", design + `]`},
+		{"/v1/design", design + `}`},
+		{"/v1/design", design + " \n x"},
+		{"/v1/design", design + design},
+		{"/v1/jobs", job + `]`},
+		{"/v1/jobs", job + "\t}"},
+		{"/v1/jobs", job + job},
+	} {
+		status, body := doPost(t, ts.URL+tc.path, tc.body)
+		var eb errorBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == nil || status != http.StatusBadRequest ||
+			eb.Error.Code != "invalid_json" || eb.Error.Message != "trailing data after request document" {
+			t.Errorf("POST %s %q: status %d body %s, want 400 invalid_json trailing data", tc.path, tc.body, status, body)
+		}
+	}
+	mustPost(t, ts.URL+"/v1/design", design+" \r\n\t ")
+	if status, body := doPost(t, ts.URL+"/v1/jobs", job+"\n"); status != http.StatusAccepted {
+		t.Fatalf("job with trailing newline: status %d body %s", status, body)
+	}
+}
+
 // tierHits and tierMisses read one cache tier's counters: the shared
 // response tier's, or a warm tier's summed across the shard workers.
 func tierHits(srv *Server, tier int) int64 {

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
+	"unicode/utf8"
 
 	"jellyfish/internal/graph"
 )
@@ -80,13 +82,29 @@ func (t *Topology) WriteBlueprint(w io.Writer) error {
 	return err
 }
 
-// ReadBlueprint deserializes a topology written by WriteBlueprint,
-// validating structural invariants (port budgets, simple graph, ID range).
-func ReadBlueprint(r io.Reader) (*Topology, error) {
+// ParseBlueprint decodes a blueprint document, as WriteBlueprint or
+// AppendBlueprint writes it, and validates its structural invariants
+// (port budgets, simple graph, ID range). Like a json.Decoder, it reads
+// the first JSON value in data and ignores any bytes after it.
+//
+// A document in the strict grammar parseBlueprint accepts is read in one
+// pass over data. Any other input is handed to encoding/json unchanged,
+// so every rejection, its error text and every encoding/json quirk
+// (case-folded and unknown keys, escapes, short or long links) stay
+// encoding/json's.
+func ParseBlueprint(data []byte) (*Topology, error) {
 	var bp blueprint
-	if err := json.NewDecoder(r).Decode(&bp); err != nil {
-		return nil, fmt.Errorf("topology: decoding blueprint: %w", err)
+	if !parseBlueprint(data, &bp) {
+		bp = blueprint{}
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&bp); err != nil {
+			return nil, fmt.Errorf("topology: decoding blueprint: %w", err)
+		}
 	}
+	return bp.topology()
+}
+
+// topology validates a decoded blueprint and builds its topology.
+func (bp *blueprint) topology() (*Topology, error) {
 	n := len(bp.Ports)
 	if len(bp.Servers) != n {
 		return nil, fmt.Errorf("topology: blueprint has %d port entries but %d server entries", n, len(bp.Servers))
@@ -113,6 +131,193 @@ func ReadBlueprint(r io.Reader) (*Topology, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// parseBlueprint fills bp from data in one pass and reports whether data
+// opens with a document in its grammar, a strict subset of what
+// encoding/json decodes to the same blueprint: one object whose keys are
+// exactly "name", "ports", "servers" and "links", each at most once and in
+// any order; a name without escapes or control characters, in valid
+// UTF-8 (which encoding/json keeps byte for byte); integers of at most 18
+// digits without a leading zero, fraction or exponent; null or an array
+// for each list, so nil and empty stay apart; and links of exactly two
+// integers. Bytes after the closing brace are not read. On false, bp holds
+// a partial document and the caller decodes data afresh.
+func parseBlueprint(data []byte, bp *blueprint) bool {
+	s := bpScanner{data: data}
+	if !s.consume('{') {
+		return false
+	}
+	if s.consume('}') {
+		return true
+	}
+	var seen uint8
+	for {
+		key, ok := s.str()
+		if !ok || !s.consume(':') {
+			return false
+		}
+		var field uint8
+		switch string(key) {
+		case "name":
+			var name []byte
+			name, ok = s.str()
+			field, bp.Name, ok = 1, string(name), ok && utf8.Valid(name)
+		case "ports":
+			field = 2
+			bp.Ports, ok = s.ints()
+		case "servers":
+			field = 4
+			bp.Servers, ok = s.ints()
+		case "links":
+			field = 8
+			bp.Links, ok = s.links()
+		}
+		if field == 0 || !ok || seen&field != 0 {
+			return false
+		}
+		seen |= field
+		if s.consume('}') {
+			return true
+		}
+		if !s.consume(',') {
+			return false
+		}
+	}
+}
+
+// bpScanner is parseBlueprint's cursor. Each method reports false on
+// anything outside the grammar, leaving the input to encoding/json.
+type bpScanner struct {
+	data []byte
+	i    int
+}
+
+// consume skips JSON whitespace and then the byte c, reporting whether c
+// was there.
+func (s *bpScanner) consume(c byte) bool {
+	for s.i < len(s.data) {
+		switch s.data[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+			continue
+		case c:
+			s.i++
+			return true
+		}
+		return false
+	}
+	return false
+}
+
+// str reads a string without escapes or control characters and returns
+// its bytes, unquoted.
+func (s *bpScanner) str() ([]byte, bool) {
+	if !s.consume('"') {
+		return nil, false
+	}
+	for j := s.i; j < len(s.data); j++ {
+		switch c := s.data[j]; {
+		case c == '"':
+			str := s.data[s.i:j]
+			s.i = j + 1
+			return str, true
+		case c == '\\' || c < ' ':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// null consumes a null literal, reporting whether there was one.
+func (s *bpScanner) null() bool {
+	if s.consume('n') && bytes.HasPrefix(s.data[s.i:], []byte("ull")) {
+		s.i += len("ull")
+		return true
+	}
+	return false
+}
+
+// int reads an integer of at most 18 digits without a leading zero. The
+// byte after it is left to the caller, which accepts only ',' or ']'
+// there, so a fraction or an exponent falls outside the grammar.
+func (s *bpScanner) int() (int, bool) {
+	neg := s.consume('-')
+	start := s.i
+	var v uint64
+	for s.i < len(s.data) && s.data[s.i] >= '0' && s.data[s.i] <= '9' {
+		v = v*10 + uint64(s.data[s.i]-'0')
+		s.i++
+	}
+	digits := s.i - start
+	if digits == 0 || digits > 18 || (digits > 1 && s.data[start] == '0') || v > math.MaxInt {
+		return 0, false
+	}
+	if neg {
+		return -int(v), true
+	}
+	return int(v), true
+}
+
+// ints reads null, as a nil slice, or an array of integers.
+func (s *bpScanner) ints() ([]int, bool) {
+	if s.null() {
+		return nil, true
+	}
+	if !s.consume('[') {
+		return nil, false
+	}
+	xs := []int{}
+	if s.consume(']') {
+		return xs, true
+	}
+	for {
+		x, ok := s.int()
+		if !ok {
+			return nil, false
+		}
+		xs = append(xs, x)
+		if s.consume(']') {
+			return xs, true
+		}
+		if !s.consume(',') {
+			return nil, false
+		}
+	}
+}
+
+// links reads null, as a nil slice, or an array of two-integer arrays.
+func (s *bpScanner) links() ([][2]int, bool) {
+	if s.null() {
+		return nil, true
+	}
+	if !s.consume('[') {
+		return nil, false
+	}
+	ls := [][2]int{}
+	if s.consume(']') {
+		return ls, true
+	}
+	for {
+		if !s.consume('[') {
+			return nil, false
+		}
+		u, ok := s.int()
+		if !ok || !s.consume(',') {
+			return nil, false
+		}
+		v, ok := s.int()
+		if !ok || !s.consume(']') {
+			return nil, false
+		}
+		ls = append(ls, [2]int{u, v})
+		if s.consume(']') {
+			return ls, true
+		}
+		if !s.consume(',') {
+			return nil, false
+		}
+	}
 }
 
 // RewirePlan lists the physical cabling operations turning one topology

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 
 	"jellyfish/internal/graph"
@@ -89,7 +88,7 @@ func TestBlueprintRoundTrip(t *testing.T) {
 	if err := orig.WriteBlueprint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBlueprint(&buf)
+	got, err := ParseBlueprint(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestBlueprintRoundTrip10k(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("10k-switch blueprint: %d bytes", buf.Len())
-	got, err := ReadBlueprint(&buf)
+	got, err := ParseBlueprint(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestReadBlueprintRejectsGarbage(t *testing.T) {
 		"port overflow":  `{"ports":[1,4,4],"servers":[1,1,1],"links":[[0,1],[0,2]]}`,
 	}
 	for name, in := range cases {
-		if _, err := ReadBlueprint(strings.NewReader(in)); err == nil {
+		if _, err := ParseBlueprint([]byte(in)); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
@@ -169,7 +168,7 @@ func TestReadBlueprintRejectsGarbage(t *testing.T) {
 // readBlueprintString runs the blueprint decoder on an in-memory
 // document.
 func readBlueprintString(s string) (*Topology, error) {
-	return ReadBlueprint(strings.NewReader(s))
+	return ParseBlueprint([]byte(s))
 }
 
 // The decoder's error texts reach clients verbatim (jellyfishd's 400
@@ -237,6 +236,45 @@ func TestReadBlueprintErrorTexts(t *testing.T) {
 			t.Errorf("%q: decoded name %q ports %#v servers %#v edges %v, want %q %#v %#v %v",
 				tc.in, top.Name, top.Ports, top.Servers, top.Graph.Edges(), tc.name, tc.ports, tc.servers, tc.edges)
 		}
+	}
+}
+
+// The one-pass parser takes every document the encoders write, in any
+// whitespace and key order, and leaves each quirk to encoding/json.
+func TestParseBlueprintGrammar(t *testing.T) {
+	top := Jellyfish(30, 8, 5, rng.New(4))
+	top.Name = "row 7 ✓"
+	var indented bytes.Buffer
+	if err := top.WriteBlueprint(&indented); err != nil {
+		t.Fatal(err)
+	}
+	in := []string{
+		string(indented.Bytes()),
+		string(top.AppendBlueprint(nil)),
+		`{}`,
+		`{"links":null,"servers":[],"name":"","ports":[]} trailing`,
+		" \t\r\n{ \"ports\" : [ -0 , 123456789012345678 ] , \"links\" :[ [ 0 , 1 ] ] }",
+	}
+	out := []string{
+		`null`, `[]`, "\ufeff{}", `{"ports":[01]}`, `{"ports":[1234567890123456789]}`, `{"ports":[1.0]}`,
+		`{"ports":[1e2]}`, `{"ports":[- 1]}`, `{"Ports":[]}`, `{"extra":1}`, `{"ports":[],"ports":[]}`,
+		`{"links":[[0,1,2]]}`, `{"links":[[0]]}`, `{"links":[null]}`, `{"name":null}`, `{"name":"a\\u0062"}`,
+		"{\"name\":\"\x01\"}", "{\"name\":\"\xff\"}", `{"ports":nul}`, `{"ports":[1,]}`, `{"ports":[1 2]}`,
+		`{"name":"a",}`, `{"name":"a"`, `{"n\u0061me":"a"}`,
+	}
+	for _, s := range in {
+		var bp blueprint
+		if !parseBlueprint([]byte(s), &bp) {
+			t.Errorf("%q: outside the one-pass grammar", s)
+		}
+		checkParseMatchesReference(t, []byte(s))
+	}
+	for _, s := range out {
+		var bp blueprint
+		if parseBlueprint([]byte(s), &bp) {
+			t.Errorf("%q: inside the one-pass grammar", s)
+		}
+		checkParseMatchesReference(t, []byte(s))
 	}
 }
 

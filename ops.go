@@ -2,6 +2,7 @@ package jellyfish
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"sync/atomic"
 
@@ -25,8 +26,15 @@ type Edge = graph.Edge
 func WriteBlueprint(t *Topology, w io.Writer) error { return t.WriteBlueprint(w) }
 
 // ReadBlueprint loads a topology from a blueprint, validating port budgets
-// and graph simplicity.
-func ReadBlueprint(r io.Reader) (*Topology, error) { return topology.ReadBlueprint(r) }
+// and graph simplicity. It reads r to EOF and decodes the first JSON
+// document in what it read; bytes after that document are ignored.
+func ReadBlueprint(r io.Reader) (*Topology, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("topology: decoding blueprint: %w", err)
+	}
+	return topology.ParseBlueprint(data)
+}
 
 // RewirePlan lists cable operations turning one topology into another.
 type RewirePlan = topology.RewirePlan
