@@ -18,7 +18,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"reflect"
+	"slices"
+	"strconv"
 
 	"jellyfish"
 	"jellyfish/internal/telemetry"
@@ -83,6 +87,12 @@ func (d DesignSpec) config() jellyfish.Config {
 type TopologySpec struct {
 	Design    *DesignSpec     `json:"design,omitempty"`
 	Blueprint json.RawMessage `json:"blueprint,omitempty"`
+
+	// top and topErr are what topology.ParseBlueprint makes of Blueprint
+	// when decodeStrict parsed it while reading the request; both are nil
+	// otherwise.
+	top    *topology.Topology
+	topErr error
 }
 
 // A materialized topology spec: the canonical digest (cache and shard
@@ -101,7 +111,8 @@ type materialized struct {
 
 // materialize validates the named topology and returns its deferred
 // form, normalizing ts in place (blueprints are re-serialized
-// canonically so formatting differences cannot split the cache).
+// canonically so formatting differences cannot split the cache). A
+// blueprint decodeStrict already parsed is not parsed again.
 // Topologies with no switches — including an empty or null blueprint
 // document, which decodes without error — are rejected here: every
 // planning operation on them is undefined.
@@ -118,7 +129,11 @@ func (ts *TopologySpec) materialize() (materialized, *apiError) {
 			build:   func() *jellyfish.Topology { return jellyfish.New(cfg) },
 		}, nil
 	case ts.Blueprint != nil && ts.Design == nil:
-		top, err := topology.ParseBlueprint(ts.Blueprint)
+		top, err := ts.top, ts.topErr
+		if top == nil && err == nil {
+			top, err = topology.ParseBlueprint(ts.Blueprint)
+		}
+		ts.top, ts.topErr = nil, nil
 		if err != nil {
 			return materialized{}, badRequest("invalid_blueprint", "%v", err)
 		}
@@ -164,6 +179,45 @@ type DesignResponse struct {
 	MeanPath  float64         `json:"meanPath"`
 	Diameter  int             `json:"diameter"`
 	Blueprint json.RawMessage `json:"blueprint"`
+}
+
+// appendJSON appends the response as json.Marshal encodes it. The
+// blueprint, canonicalBlueprint's compact and escaped document, is
+// copied as it is, where json.Marshal would scan it again.
+func (r *DesignResponse) appendJSON(dst []byte) ([]byte, error) {
+	dst = slices.Grow(dst, len(r.Blueprint)+160)
+	dst = strconv.AppendInt(append(dst, `{"switches":`...), int64(r.Switches), 10)
+	dst = strconv.AppendInt(append(dst, `,"servers":`...), int64(r.Servers), 10)
+	dst = strconv.AppendInt(append(dst, `,"links":`...), int64(r.Links), 10)
+	dst, err := appendFloat(append(dst, `,"meanPath":`...), r.MeanPath)
+	if err != nil {
+		return nil, err
+	}
+	dst = strconv.AppendInt(append(dst, `,"diameter":`...), int64(r.Diameter), 10)
+	dst = append(dst, `,"blueprint":`...)
+	if r.Blueprint == nil {
+		dst = append(dst, "null"...)
+	}
+	return append(append(dst, r.Blueprint...), '}'), nil
+}
+
+// appendFloat appends f as encoding/json encodes a float64, or returns
+// the error it gives for NaN and the infinities.
+func appendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		// e-09 to e-9, as encoding/json writes it.
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
 }
 
 // A TransportSpec selects a realizable data plane — a routing scheme plus

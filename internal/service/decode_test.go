@@ -3,12 +3,15 @@ package service
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
 	"jellyfish"
+	"jellyfish/internal/topology"
 )
 
 // A decodePin is one request body at an edge of inline-blueprint
@@ -136,6 +139,148 @@ func TestInlineBlueprintDecodeGolden(t *testing.T) {
 		}
 		if got != want[p.name] {
 			t.Errorf("%s: got %s, want %s", p.name, got, want[p.name])
+		}
+	}
+}
+
+// refDecodeStrict is encoding/json's strict decode, which decodeStrict
+// ran alone before decodeInline stood in front of it; kept as its oracle.
+func refDecodeStrict(data []byte, v any) *apiError {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return badRequest("invalid_json", "%v", err)
+	}
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		return badRequest("invalid_json", "trailing data after request document")
+	}
+	return nil
+}
+
+// checkDecode fails unless decodeStrict and refDecodeStrict agree on data
+// as a T: the same error, or equal requests with the same blueprint bytes,
+// where every blueprint decodeStrict parsed on the way has the outcome
+// topology.ParseBlueprint gives those bytes. It reports how many
+// blueprints decodeStrict parsed.
+func checkDecode[T any](t *testing.T, data []byte) (parsed int) {
+	t.Helper()
+	var got, want T
+	aerr, werr := decodeStrict(data, &got), refDecodeStrict(data, &want)
+	if aerr != nil || werr != nil {
+		if aerr == nil || werr == nil || *aerr != *werr {
+			t.Fatalf("%T %q: decodeStrict error %v, encoding/json error %v", got, data, aerr, werr)
+		}
+		return 0
+	}
+	if specs, ok := any(&got).(inlineSpecs); ok {
+		wantSpecs := any(&want).(inlineSpecs).topologySpecs()
+		for i, ts := range specs.topologySpecs() {
+			if ts.top == nil && ts.topErr == nil {
+				continue
+			}
+			parsed++
+			top, err := topology.ParseBlueprint(wantSpecs[i].Blueprint)
+			switch {
+			case err != nil || ts.topErr != nil:
+				if err == nil || ts.topErr == nil || err.Error() != ts.topErr.Error() {
+					t.Fatalf("%T %q: blueprint %d parsed to error %v, ParseBlueprint gives %v", got, data, i, ts.topErr, err)
+				}
+			case ts.top.Name != top.Name || !reflect.DeepEqual(ts.top.Ports, top.Ports) ||
+				!reflect.DeepEqual(ts.top.Servers, top.Servers) || !reflect.DeepEqual(ts.top.Graph.Edges(), top.Graph.Edges()):
+				t.Fatalf("%T %q: blueprint %d parsed to another topology than ParseBlueprint's", got, data, i)
+			}
+			ts.top, ts.topErr = nil, nil
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q: decodeStrict decoded %+v, encoding/json %+v", data, got, want)
+	}
+	return parsed
+}
+
+// checkDecodeAll runs checkDecode for every request type decodeStrict
+// reads and returns how many blueprints it parsed on the way.
+func checkDecodeAll(t *testing.T, data []byte) int {
+	t.Helper()
+	return checkDecode[DesignSpec](t, data) + checkDecode[EvaluateRequest](t, data) +
+		checkDecode[CapacitySearchRequest](t, data) + checkDecode[WhatIfRequest](t, data) +
+		checkDecode[RewireRequest](t, data) + checkDecode[JobSpec](t, data)
+}
+
+// FuzzDecodeStrict checks decodeStrict against encoding/json's strict
+// decode on arbitrary bodies, for every request type.
+func FuzzDecodeStrict(f *testing.F) {
+	for _, body := range opPlanSeeds {
+		f.Add([]byte(body))
+	}
+	for _, p := range decodePins() {
+		f.Add([]byte(p.body))
+	}
+	f.Add([]byte(`{"topology":{"blueprint":{},"Blueprint":0},"seed":1}`))
+	f.Add([]byte(`{"topology":{"blueprint":{},"blue\u0070rint":0},"seed":1}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecodeAll(t, body)
+	})
+}
+
+// Bodies shaped like the hot workload's, 30 KB indented blueprints
+// included, are decoded without encoding/json reading a blueprint, as
+// are others with blueprints in the one-pass grammar wherever a topology
+// spec takes them; bodies at the fast path's edges fall back, so the
+// oracle above cannot pass by having everything fall back.
+func TestDecodeStrictFastPath(t *testing.T) {
+	var hot [2]string
+	for i := range hot {
+		var b bytes.Buffer
+		if err := jellyfish.WriteBlueprint(jellyfish.New(jellyfish.Config{Switches: 200, Ports: 12, NetworkDegree: 8, Seed: uint64(i)}), &b); err != nil {
+			t.Fatal(err)
+		}
+		hot[i] = b.String()
+	}
+	small := string(jellyfish.New(jellyfish.Config{Switches: 12, Ports: 6, NetworkDegree: 4, Seed: 1}).AppendBlueprint(nil))
+	fast := []struct {
+		body   string
+		parsed int
+	}{
+		{`{"topology":{"blueprint":` + hot[0] + `},"seed":1099511627775,"estimator":{"kind":"bisection"}}`, 1},
+		{`{"before":{"blueprint":` + hot[0] + `},"after":{"blueprint":` + hot[1] + `}}`, 2},
+		{`{"after":{"blueprint":` + small + `},"before":{"design":{"switches":12,"ports":6,"networkDegree":4,"seed":1}}}`, 1},
+		{`{"base":{"blueprint":` + small + `},"seed":5,"scenarios":[{"failLinks":{"fraction":0.1,"seed":2}}]}`, 1},
+		{" { \"topology\" :\n{ \"blueprint\" :\t" + small + " } , \"seed\" : 3 }\r\n", 1},
+		{`{"topology":{"design":{"switches":4,"ports":4,"networkDegree":2,"seed":1},"blueprint":` + small + `},"seed":1}`, 1},
+		{`{"topology":{"blueprint":{"ports":[4,4],"servers":[1,1],"links":[[0,1],[1,0]]}},"seed":1}`, 1},
+		{`{"topology":{"blueprint":{}},"seed":1}`, 1},
+	}
+	for _, tc := range fast {
+		if got := checkDecodeAll(t, []byte(tc.body)); got != tc.parsed {
+			t.Errorf("%.120q: %d blueprints parsed while decoding, want %d", tc.body, got, tc.parsed)
+		}
+	}
+	// The pins that take the fast path, with their blueprint counts; the
+	// rest must fall back.
+	fastPins := map[string]int{
+		"evaluate/blueprint": 1, "evaluate/empty-object": 1, "evaluate/self-loop": 1, "evaluate/with-design": 1,
+		"evaluate/loose": 1, "whatif/blueprint": 1, "rewire/before-after": 2, "rewire/after-before": 2,
+		"rewire/design-before": 1, "rewire/loose": 2,
+	}
+	for _, p := range decodePins() {
+		if got := checkDecodeAll(t, []byte(p.body)); got != fastPins[p.name] {
+			t.Errorf("%s: %d blueprints parsed while decoding, want %d", p.name, got, fastPins[p.name])
+		}
+	}
+	for _, body := range []string{
+		`{"topology":{"blueprint":` + small + `},"seed":1,"trails":3}`,
+		`{"before":{"blueprint":` + small + `},"after":{"blueprint":` + small + `}} x`,
+		`{"topology":{"blueprint":{"ports":[4,4],"servers":[1,1],"links":[[0,1]],"extra":1}},"seed":1}`,
+		`{"type":"evaluate","request":{"topology":{"blueprint":` + small + `},"seed":1}}`,
+		// An index-like value under a case-folded key must not pass for
+		// the blueprint's placeholder.
+		`{"topology":{"blueprint":` + small + `,"Blueprint":0},"seed":1}`,
+		`{"before":{"blueprint":` + small + `,"BluePrint":0},"after":{"design":{"switches":4,"ports":4,"networkDegree":2,"seed":1}}}`,
+		`{"topology":{"blueprint":` + small + `,"blue\u0070rint":0},"seed":1}`,
+	} {
+		if got := checkDecodeAll(t, []byte(body)); got != 0 {
+			t.Errorf("%.120q: %d blueprints parsed while decoding, want 0", body, got)
 		}
 	}
 }

@@ -336,7 +336,7 @@ func (w *worker) execute(s *scheduler, t *task) {
 		t.err = err
 		return
 	}
-	b, err := json.Marshal(v)
+	b, err := marshalResponse(v)
 	if err != nil {
 		t.err = &apiError{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
 		return
@@ -353,6 +353,15 @@ func (w *worker) execute(s *scheduler, t *task) {
 		}
 	}
 	s.resp.put(t.key, &cachedResult{resp: b, events: t.events, trace: t.trace})
+}
+
+// marshalResponse encodes an executor's response as json.Marshal does,
+// through the response's own appender where it has one.
+func marshalResponse(v any) ([]byte, error) {
+	if a, ok := v.(interface{ appendJSON([]byte) ([]byte, error) }); ok {
+		return a.appendJSON(nil)
+	}
+	return json.Marshal(v)
 }
 
 // replayEvents feeds a recorded event stream to onEvent (if any) in emission

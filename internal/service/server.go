@@ -285,29 +285,26 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, TraceResponse{JobID: j.id, Trace: trace.Tree()})
 }
 
-// decodeStrict unmarshals a request document, rejecting unknown fields so
-// typos ("trails") fail loudly instead of silently selecting defaults.
-func decodeStrict(data []byte, v any) *apiError {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest("invalid_json", "%v", err)
-	}
-	// A second document, or any other non-whitespace after the first,
-	// is a client bug too.
-	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
-		return badRequest("invalid_json", "trailing data after request document")
-	}
-	return nil
-}
-
-// readBody reads an HTTP request body.
+// readBody reads an HTTP request body of at most 16 MB. A body of known
+// length is read into one buffer of that size, with bytes.MinRead to
+// spare so the read that meets EOF does not grow it; io.ReadAll, which
+// reads a body of unknown length, grows its buffer as it goes.
 func readBody(r *http.Request) ([]byte, *apiError) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 16<<20))
+	const maxBody = 16 << 20
+	body := http.MaxBytesReader(nil, r.Body, maxBody)
+	var b []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= maxBody {
+		buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+		_, err = buf.ReadFrom(body)
+		b = buf.Bytes()
+	} else {
+		b, err = io.ReadAll(body)
+	}
 	if err != nil {
 		return nil, badRequest("invalid_body", "reading request body: %v", err)
 	}
-	return body, nil
+	return b, nil
 }
 
 // handleSync serves an op's sync route (POST /v1/{name}). Malformed

@@ -94,7 +94,7 @@ func (t *Topology) WriteBlueprint(w io.Writer) error {
 // encoding/json's.
 func ParseBlueprint(data []byte) (*Topology, error) {
 	var bp blueprint
-	if !parseBlueprint(data, &bp) {
+	if parseBlueprint(data, &bp) == 0 {
 		bp = blueprint{}
 		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&bp); err != nil {
 			return nil, fmt.Errorf("topology: decoding blueprint: %w", err)
@@ -103,15 +103,39 @@ func ParseBlueprint(data []byte) (*Topology, error) {
 	return bp.topology()
 }
 
-// topology validates a decoded blueprint and builds its topology.
+// ParseBlueprintPrefix reads the blueprint document at the start of data,
+// which may go on past it, in parseBlueprint's one-pass grammar. It
+// returns the number of bytes the document takes, leading whitespace
+// included, with what ParseBlueprint returns for those bytes: the
+// validated topology or the error. If data does not open with a document
+// in the grammar, n is 0 and nothing is parsed.
+func ParseBlueprintPrefix(data []byte) (n int, t *Topology, err error) {
+	var bp blueprint
+	if n = parseBlueprint(data, &bp); n == 0 {
+		return 0, nil, nil
+	}
+	t, err = bp.topology()
+	return n, t, err
+}
+
+// topology validates a decoded blueprint and builds its topology. Each
+// switch's adjacency list is sized from the in-range links before any is
+// inserted, so the build does not grow them one neighbour at a time.
 func (bp *blueprint) topology() (*Topology, error) {
 	n := len(bp.Ports)
 	if len(bp.Servers) != n {
 		return nil, fmt.Errorf("topology: blueprint has %d port entries but %d server entries", n, len(bp.Servers))
 	}
+	deg := make([]int, n)
+	for _, l := range bp.Links {
+		if u, v := l[0], l[1]; u >= 0 && v >= 0 && u < n && v < n {
+			deg[u]++
+			deg[v]++
+		}
+	}
 	t := &Topology{
 		Name:    bp.Name,
-		Graph:   graph.New(n),
+		Graph:   graph.NewSized(deg),
 		Ports:   bp.Ports,
 		Servers: bp.Servers,
 	}
@@ -141,21 +165,23 @@ func (bp *blueprint) topology() (*Topology, error) {
 // UTF-8 (which encoding/json keeps byte for byte); integers of at most 18
 // digits without a leading zero, fraction or exponent; null or an array
 // for each list, so nil and empty stay apart; and links of exactly two
-// integers. Bytes after the closing brace are not read. On false, bp holds
-// a partial document and the caller decodes data afresh.
-func parseBlueprint(data []byte, bp *blueprint) bool {
+// integers. Bytes after the closing brace are not read. It returns the
+// number of bytes read, through the closing brace, or 0 for input outside
+// the grammar; then bp holds a partial document and the caller decodes
+// data afresh.
+func parseBlueprint(data []byte, bp *blueprint) int {
 	s := bpScanner{data: data}
 	if !s.consume('{') {
-		return false
+		return 0
 	}
 	if s.consume('}') {
-		return true
+		return s.i
 	}
 	var seen uint8
 	for {
 		key, ok := s.str()
 		if !ok || !s.consume(':') {
-			return false
+			return 0
 		}
 		var field uint8
 		switch string(key) {
@@ -174,14 +200,14 @@ func parseBlueprint(data []byte, bp *blueprint) bool {
 			bp.Links, ok = s.links()
 		}
 		if field == 0 || !ok || seen&field != 0 {
-			return false
+			return 0
 		}
 		seen |= field
 		if s.consume('}') {
-			return true
+			return s.i
 		}
 		if !s.consume(',') {
-			return false
+			return 0
 		}
 	}
 }

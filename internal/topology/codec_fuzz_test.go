@@ -7,17 +7,40 @@ import (
 	"reflect"
 	"testing"
 
+	"jellyfish/internal/graph"
 	"jellyfish/internal/rng"
 )
 
 // refReadBlueprint is the encoding/json decoder ParseBlueprint's
-// one-pass parser stands in front of, kept as its oracle.
+// one-pass parser stands in front of, followed by the link-at-a-time
+// graph build that blueprint.topology's presized one replaced; both are
+// kept as its oracle.
 func refReadBlueprint(data []byte) (*Topology, error) {
 	var bp blueprint
 	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&bp); err != nil {
 		return nil, fmt.Errorf("topology: decoding blueprint: %w", err)
 	}
-	return bp.topology()
+	n := len(bp.Ports)
+	if len(bp.Servers) != n {
+		return nil, fmt.Errorf("topology: blueprint has %d port entries but %d server entries", n, len(bp.Servers))
+	}
+	t := &Topology{Name: bp.Name, Graph: graph.New(n), Ports: bp.Ports, Servers: bp.Servers}
+	for i, l := range bp.Links {
+		u, v := l[0], l[1]
+		if u < 0 || v < 0 || u >= n || v >= n {
+			return nil, fmt.Errorf("topology: blueprint link %d (%d,%d) out of range [0,%d)", i, u, v, n)
+		}
+		if u == v {
+			return nil, fmt.Errorf("topology: blueprint link %d is a self-loop at %d", i, u)
+		}
+		if !t.Graph.AddEdge(u, v) {
+			return nil, fmt.Errorf("topology: blueprint link %d (%d,%d) duplicated", i, u, v)
+		}
+	}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // checkParseMatchesReference fails unless ParseBlueprint and the
@@ -37,6 +60,37 @@ func checkParseMatchesReference(t *testing.T, data []byte) {
 		!reflect.DeepEqual(got.Graph.Edges(), want.Graph.Edges()) {
 		t.Fatalf("%q: ParseBlueprint decoded name %q ports %#v servers %#v edges %v; encoding/json %q %#v %#v %v",
 			data, got.Name, got.Ports, got.Servers, got.Graph.Edges(), want.Name, want.Ports, want.Servers, want.Graph.Edges())
+	}
+}
+
+// checkPrefix fails unless ParseBlueprintPrefix on data, and on data
+// with bytes after it, reads the same document of n bytes, ending in its
+// closing brace, to the outcome ParseBlueprint gives those n bytes.
+func checkPrefix(t *testing.T, data []byte) {
+	t.Helper()
+	n, top, err := ParseBlueprintPrefix(data)
+	if n == 0 {
+		if top != nil || err != nil {
+			t.Fatalf("%q: outside the grammar, yet parsed to %v, %v", data, top, err)
+		}
+		return
+	}
+	if data[n-1] != '}' {
+		t.Fatalf("%q: prefix of %d bytes does not end in a closing brace", data, n)
+	}
+	if m, _, _ := ParseBlueprintPrefix(append(data[:n:n], `,"x"]`...)); m != n {
+		t.Fatalf("%q: prefix of %d bytes, %d with bytes after it", data, n, m)
+	}
+	want, werr := ParseBlueprint(data[:n])
+	if err != nil || werr != nil {
+		if err == nil || werr == nil || err.Error() != werr.Error() {
+			t.Fatalf("%q: prefix error %v, ParseBlueprint error %v", data, err, werr)
+		}
+		return
+	}
+	if top.Name != want.Name || !reflect.DeepEqual(top.Ports, want.Ports) || !reflect.DeepEqual(top.Servers, want.Servers) ||
+		!reflect.DeepEqual(top.Graph.Edges(), want.Graph.Edges()) {
+		t.Fatalf("%q: prefix and ParseBlueprint decode different topologies", data)
 	}
 }
 
@@ -99,6 +153,7 @@ func FuzzReadBlueprint(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkParseMatchesReference(t, data)
+		checkPrefix(t, data)
 		top, err := ParseBlueprint(data)
 		if err != nil {
 			return

@@ -264,17 +264,19 @@ func TestParseBlueprintGrammar(t *testing.T) {
 	}
 	for _, s := range in {
 		var bp blueprint
-		if !parseBlueprint([]byte(s), &bp) {
+		if parseBlueprint([]byte(s), &bp) == 0 {
 			t.Errorf("%q: outside the one-pass grammar", s)
 		}
 		checkParseMatchesReference(t, []byte(s))
+		checkPrefix(t, []byte(s))
 	}
 	for _, s := range out {
 		var bp blueprint
-		if parseBlueprint([]byte(s), &bp) {
+		if parseBlueprint([]byte(s), &bp) != 0 {
 			t.Errorf("%q: inside the one-pass grammar", s)
 		}
 		checkParseMatchesReference(t, []byte(s))
+		checkPrefix(t, []byte(s))
 	}
 }
 
