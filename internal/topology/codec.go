@@ -93,12 +93,12 @@ func (t *Topology) WriteBlueprint(w io.Writer) error {
 // (case-folded and unknown keys, escapes, short or long links) stay
 // encoding/json's.
 func ParseBlueprint(data []byte) (*Topology, error) {
+	if n, t, err := ParseBlueprintPrefix(data); n > 0 {
+		return t, err
+	}
 	var bp blueprint
-	if parseBlueprint(data, &bp) == 0 {
-		bp = blueprint{}
-		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&bp); err != nil {
-			return nil, fmt.Errorf("topology: decoding blueprint: %w", err)
-		}
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&bp); err != nil {
+		return nil, fmt.Errorf("topology: decoding blueprint: %w", err)
 	}
 	return bp.topology()
 }
