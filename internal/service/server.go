@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -285,26 +284,16 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, TraceResponse{JobID: j.id, Trace: trace.Tree()})
 }
 
-// readBody reads an HTTP request body of at most 16 MB. A body of known
-// length is read into one buffer of that size, with bytes.MinRead to
-// spare so the read that meets EOF does not grow it; io.ReadAll, which
-// reads a body of unknown length, grows its buffer as it goes.
+// readBody reads an HTTP request body of at most 16 MB. io.ReadAll
+// grows its buffer only as bytes arrive: sizing it from a declared
+// Content-Length would let a client pin 16 MB with a few header bytes and
+// a stalled body, since no read timeout bounds how long it may stall.
 func readBody(r *http.Request) ([]byte, *apiError) {
-	const maxBody = 16 << 20
-	body := http.MaxBytesReader(nil, r.Body, maxBody)
-	var b []byte
-	var err error
-	if n := r.ContentLength; n >= 0 && n <= maxBody {
-		buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
-		_, err = buf.ReadFrom(body)
-		b = buf.Bytes()
-	} else {
-		b, err = io.ReadAll(body)
-	}
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 16<<20))
 	if err != nil {
 		return nil, badRequest("invalid_body", "reading request body: %v", err)
 	}
-	return b, nil
+	return body, nil
 }
 
 // handleSync serves an op's sync route (POST /v1/{name}). Malformed

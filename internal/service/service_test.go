@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -617,5 +618,23 @@ func TestJobStoreBounded(t *testing.T) {
 	}
 	if v := waitJob(t, ts.URL, second.ID); v.Status != jobSucceeded {
 		t.Fatalf("second job: %s", v.Status)
+	}
+}
+
+// readBody allocates as body bytes arrive, not from the declared length:
+// a request that claims the full 16 MB and sends a few bytes costs a few
+// bytes, not 16 MB, so headers alone cannot pin memory.
+func TestReadBodyIgnoresDeclaredLength(t *testing.T) {
+	r := httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(`{"switches":1}`))
+	r.ContentLength = 16 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	body, aerr := readBody(r)
+	runtime.ReadMemStats(&after)
+	if aerr != nil || string(body) != `{"switches":1}` {
+		t.Fatalf("readBody = %q, %v", body, aerr)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("reading a 14-byte body that declares 16 MB allocated %d bytes", n)
 	}
 }
