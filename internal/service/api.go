@@ -18,11 +18,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"reflect"
-	"slices"
-	"strconv"
 
 	"jellyfish"
 	"jellyfish/internal/telemetry"
@@ -181,43 +177,26 @@ type DesignResponse struct {
 	Blueprint json.RawMessage `json:"blueprint"`
 }
 
-// appendJSON appends the response as json.Marshal encodes it. The
-// blueprint, canonicalBlueprint's compact and escaped document, is
-// copied as it is, where json.Marshal would scan it again.
+// appendJSON appends the response as json.Marshal encodes it, without
+// json.Marshal's second scan of the blueprint: the number fields go
+// through json.Marshal, and the blueprint, canonicalBlueprint's compact
+// and escaped document, is copied as it is.
 func (r *DesignResponse) appendJSON(dst []byte) ([]byte, error) {
-	dst = slices.Grow(dst, len(r.Blueprint)+160)
-	dst = strconv.AppendInt(append(dst, `{"switches":`...), int64(r.Switches), 10)
-	dst = strconv.AppendInt(append(dst, `,"servers":`...), int64(r.Servers), 10)
-	dst = strconv.AppendInt(append(dst, `,"links":`...), int64(r.Links), 10)
-	dst, err := appendFloat(append(dst, `,"meanPath":`...), r.MeanPath)
+	head, err := json.Marshal(struct {
+		Switches int     `json:"switches"`
+		Servers  int     `json:"servers"`
+		Links    int     `json:"links"`
+		MeanPath float64 `json:"meanPath"`
+		Diameter int     `json:"diameter"`
+	}{r.Switches, r.Servers, r.Links, r.MeanPath, r.Diameter})
 	if err != nil {
 		return nil, err
 	}
-	dst = strconv.AppendInt(append(dst, `,"diameter":`...), int64(r.Diameter), 10)
-	dst = append(dst, `,"blueprint":`...)
+	dst = append(append(dst, head[:len(head)-1]...), `,"blueprint":`...)
 	if r.Blueprint == nil {
 		dst = append(dst, "null"...)
 	}
 	return append(append(dst, r.Blueprint...), '}'), nil
-}
-
-// appendFloat appends f as encoding/json encodes a float64, or returns
-// the error it gives for NaN and the infinities.
-func appendFloat(dst []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		// e-09 to e-9, as encoding/json writes it.
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst, nil
 }
 
 // A TransportSpec selects a realizable data plane — a routing scheme plus
