@@ -50,25 +50,6 @@ func New(n int) *Graph {
 	return &Graph{adj: make([][]int, n)}
 }
 
-// NewSized returns an empty graph with len(degrees) vertices whose
-// adjacency lists have room for degrees[u] neighbours of each u, carved
-// from one backing array. A list that outgrows its room is reallocated
-// on its own, as in a graph from New.
-func NewSized(degrees []int) *Graph {
-	total := 0
-	for _, d := range degrees {
-		total += d
-	}
-	g := New(len(degrees))
-	backing := make([]int, total)
-	for u, d := range degrees {
-		if d > 0 {
-			g.adj[u], backing = backing[:0:d], backing[d:]
-		}
-	}
-	return g
-}
-
 // N returns the number of vertices.
 func (g *Graph) N() int { return len(g.adj) }
 

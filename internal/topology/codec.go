@@ -118,24 +118,15 @@ func ParseBlueprintPrefix(data []byte) (n int, t *Topology, err error) {
 	return n, t, err
 }
 
-// topology validates a decoded blueprint and builds its topology. Each
-// switch's adjacency list is sized from the in-range links before any is
-// inserted, so the build does not grow them one neighbour at a time.
+// topology validates a decoded blueprint and builds its topology.
 func (bp *blueprint) topology() (*Topology, error) {
 	n := len(bp.Ports)
 	if len(bp.Servers) != n {
 		return nil, fmt.Errorf("topology: blueprint has %d port entries but %d server entries", n, len(bp.Servers))
 	}
-	deg := make([]int, n)
-	for _, l := range bp.Links {
-		if u, v := l[0], l[1]; u >= 0 && v >= 0 && u < n && v < n {
-			deg[u]++
-			deg[v]++
-		}
-	}
 	t := &Topology{
 		Name:    bp.Name,
-		Graph:   graph.NewSized(deg),
+		Graph:   graph.New(n),
 		Ports:   bp.Ports,
 		Servers: bp.Servers,
 	}

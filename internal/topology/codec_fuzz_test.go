@@ -7,40 +7,17 @@ import (
 	"reflect"
 	"testing"
 
-	"jellyfish/internal/graph"
 	"jellyfish/internal/rng"
 )
 
 // refReadBlueprint is the encoding/json decoder ParseBlueprint's
-// one-pass parser stands in front of, followed by the link-at-a-time
-// graph build that blueprint.topology's presized one replaced; both are
-// kept as its oracle.
+// one-pass parser stands in front of, kept as its oracle.
 func refReadBlueprint(data []byte) (*Topology, error) {
 	var bp blueprint
 	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&bp); err != nil {
 		return nil, fmt.Errorf("topology: decoding blueprint: %w", err)
 	}
-	n := len(bp.Ports)
-	if len(bp.Servers) != n {
-		return nil, fmt.Errorf("topology: blueprint has %d port entries but %d server entries", n, len(bp.Servers))
-	}
-	t := &Topology{Name: bp.Name, Graph: graph.New(n), Ports: bp.Ports, Servers: bp.Servers}
-	for i, l := range bp.Links {
-		u, v := l[0], l[1]
-		if u < 0 || v < 0 || u >= n || v >= n {
-			return nil, fmt.Errorf("topology: blueprint link %d (%d,%d) out of range [0,%d)", i, u, v, n)
-		}
-		if u == v {
-			return nil, fmt.Errorf("topology: blueprint link %d is a self-loop at %d", i, u)
-		}
-		if !t.Graph.AddEdge(u, v) {
-			return nil, fmt.Errorf("topology: blueprint link %d (%d,%d) duplicated", i, u, v)
-		}
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return bp.topology()
 }
 
 // checkParseMatchesReference fails unless ParseBlueprint and the
