@@ -287,7 +287,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // readBody reads an HTTP request body of at most 16 MB. io.ReadAll
 // grows its buffer only as bytes arrive: sizing it from a declared
 // Content-Length would let a client pin 16 MB with a few header bytes and
-// a stalled body, since no read timeout bounds how long it may stall.
+// a stalled body, since jellyfishd times out only the header read.
 func readBody(r *http.Request) ([]byte, *apiError) {
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 16<<20))
 	if err != nil {
